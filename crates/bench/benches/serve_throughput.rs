@@ -1,5 +1,5 @@
 //! Serving-layer throughput bench: requests per second through the
-//! sharded [`EnginePool`] versus the serial warm-engine path.
+//! [`EnginePool`] versus the serial warm-engine path.
 //!
 //! Two workloads, both at level e (the paper's fully-optimized kernels):
 //!

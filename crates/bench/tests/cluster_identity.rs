@@ -12,19 +12,53 @@
 //!    clusters must reproduce the single-core outputs bit-for-bit, and
 //!    repeated runs of a warm cluster engine must agree on every
 //!    simulated figure (latency, DMA, barriers, per-core stalls).
-//! 3. **Bench byte-determinism** — the `BENCH_cluster.json` pipeline
+//! 3. **Right-sized images** — every compiled image, single-core and
+//!    cluster, ends at the layout's high-water mark rounded up to one
+//!    64-byte dirty block, and stays under 512 KiB across the suite.
+//! 4. **Bench byte-determinism** — the `BENCH_cluster.json` pipeline
 //!    (seeded suite inputs, 2-core cluster) must serialize to the
 //!    identical byte string across repeated measurements, which is what
 //!    entitles `cluster_scaling --check` to exact string comparison.
 
 use rnnasip_bench::{cluster, par};
-use rnnasip_core::{KernelBackend, OptLevel};
+use rnnasip_core::{CompiledNetwork, KernelBackend, OptLevel};
 use rnnasip_sim::Row;
 use std::collections::BTreeMap;
 
 /// Per-mnemonic rows in canonical (name-sorted) form for comparison.
 fn rows(run: &rnnasip_core::NetworkRun) -> BTreeMap<&'static str, Row> {
     run.report.stats().iter().collect()
+}
+
+/// The image length a compiled artifact must have: its last allocation's
+/// end, rounded up to a 64-byte block. Every suite network ends in an FC
+/// stage, whose output buffer (outputs plus one slack halfword,
+/// word-aligned) is the last single-core allocation; a multi-core
+/// artifact allocates its L2 input staging area last.
+fn expected_image_len(compiled: &CompiledNetwork) -> usize {
+    let high_water = if compiled.cores() >= 2 {
+        let input = compiled.input();
+        input.base() as usize + (2 * input.width() * input.steps()).next_multiple_of(4)
+    } else {
+        let out = compiled.output();
+        out.base() as usize + (2 * (out.len() + 1)).next_multiple_of(4)
+    };
+    high_water.next_multiple_of(64)
+}
+
+/// Problems with `compiled`'s image size, tagged for the failure report.
+fn image_problems(tag: &str, compiled: &CompiledNetwork) -> Vec<String> {
+    let (len, want) = (compiled.image().len(), expected_image_len(compiled));
+    let mut problems = Vec::new();
+    if len != want {
+        problems.push(format!(
+            "{tag}: image is {len} bytes, high-water mark gives {want}"
+        ));
+    }
+    if len >= 512 << 10 {
+        problems.push(format!("{tag}: image {len} bytes is not under 512 KiB"));
+    }
+    problems
 }
 
 #[test]
@@ -39,9 +73,10 @@ fn n1_cluster_is_bit_identical_to_single_core_path() {
         let input = net.input();
         let tag = format!("{} level {}", net.id, level.tag());
 
-        let single = KernelBackend::new(level)
+        let single_compiled = KernelBackend::new(level)
             .compile_network(&net.network)
-            .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"))
+            .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+        let single = single_compiled
             .engine()
             .run(&input)
             .unwrap_or_else(|e| panic!("{tag}: single-core run failed: {e}"));
@@ -59,6 +94,9 @@ fn n1_cluster_is_bit_identical_to_single_core_path() {
         if clustered.outputs != single.outputs {
             problems.push("outputs");
         }
+        if compiled.image().as_bytes() != single_compiled.image().as_bytes() {
+            problems.push("image");
+        }
         if clustered.report.cycles() != single.report.cycles() {
             problems.push("cycles");
         }
@@ -68,11 +106,11 @@ fn n1_cluster_is_bit_identical_to_single_core_path() {
         if rows(&clustered) != rows(&single) {
             problems.push("per-mnemonic rows");
         }
-        if problems.is_empty() {
-            None
-        } else {
-            Some(format!("{tag}: diverged on {}", problems.join(", ")))
+        let mut failures = image_problems(&tag, &single_compiled);
+        if !problems.is_empty() {
+            failures.push(format!("{tag}: diverged on {}", problems.join(", ")));
         }
+        failures
     })
     .into_iter()
     .flatten()
@@ -103,11 +141,12 @@ fn multi_core_outputs_match_and_warm_runs_are_deterministic() {
         let mut problems = Vec::new();
         for cores in [2usize, 4] {
             let tag = format!("{} level {} x{cores}", net.id, level.tag());
-            let mut engine = KernelBackend::new(level)
+            let compiled = KernelBackend::new(level)
                 .with_cores(cores)
                 .compile_network(&net.network)
-                .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"))
-                .engine();
+                .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+            problems.extend(image_problems(&tag, &compiled));
+            let mut engine = compiled.engine();
             let first = engine
                 .run(&input)
                 .unwrap_or_else(|e| panic!("{tag}: first run failed: {e}"));
@@ -144,6 +183,30 @@ fn multi_core_outputs_match_and_warm_runs_are_deterministic() {
     .flatten()
     .collect();
 
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn cluster_images_end_at_the_rounded_high_water_mark_at_every_level() {
+    let suite = rnnasip_rrm::suite();
+    let cases: Vec<(usize, OptLevel, usize)> = (0..suite.len())
+        .flat_map(|i| {
+            OptLevel::ALL
+                .into_iter()
+                .flat_map(move |level| [2usize, 4, 8].map(|cores| (i, level, cores)))
+        })
+        .collect();
+    let failures: Vec<String> = par::par_map(&cases, |&(i, level, cores)| {
+        let tag = format!("{} level {} x{cores}", suite[i].id, level.tag());
+        let compiled = KernelBackend::new(level)
+            .with_cores(cores)
+            .compile_network(&suite[i].network)
+            .unwrap_or_else(|e| panic!("{tag}: compile failed: {e}"));
+        image_problems(&tag, &compiled)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 

@@ -3,7 +3,8 @@
 //! [`KernelBackend::compile_network`] lowers a [`Network`] into a
 //! [`CompiledNetwork`]: the assembled [`Program`], the fully staged
 //! initial TCDM image (weights, biases, LUTs, gather tables — with the
-//! input window zero-filled), and typed descriptors saying where one
+//! input window zero-filled — up to the layout's high-water mark rounded
+//! to a 64-byte block), and typed descriptors saying where one
 //! inference's inputs go and where its outputs come out. The artifact is
 //! immutable and cheap to clone (the image is `Arc`-shared), so it can be
 //! compiled once per `(network, OptLevel, max_tile)` and handed to any
@@ -34,6 +35,12 @@ use std::sync::Arc;
 /// simulator fetches from the decoded program image, so the split is a
 /// realism convention, not a correctness requirement).
 pub(crate) const DATA_BASE: u32 = 0x10000;
+
+/// Capacity of the staging TCDM every compile lays data out in, and the
+/// [`CoreError::OutOfMemory`] bound. Compiled images keep only the bytes
+/// below the layout's high-water mark (see [`Session::image`]), so this
+/// caps the layout without sizing any engine.
+pub(crate) const TCDM_BYTES: usize = 4 << 20;
 
 /// Where one inference's input sequence lives in the staged image.
 ///
@@ -324,8 +331,8 @@ pub(crate) fn compile_stages(
         }
     }
     let regions = std::mem::take(&mut s.regions);
+    let image = s.image();
     let (program, machine) = s.into_program()?;
-    let image = machine.mem().image();
     // Fold the guard checksums from the *clean* staged weights, before
     // any input patching or fault injection can touch the image: this
     // is what makes the run-time check sensitive to later corruption.
@@ -414,8 +421,8 @@ pub(crate) struct Session {
 
 impl Session {
     pub(crate) fn new(backend: &KernelBackend) -> Result<Self, CoreError> {
-        let mut machine = Machine::new(backend.mem_bytes);
-        let mut layout = DataLayout::new(DATA_BASE, backend.mem_bytes);
+        let mut machine = Machine::new(TCDM_BYTES);
+        let mut layout = DataLayout::new(DATA_BASE, TCDM_BYTES);
         let luts = layout.stage_pla_luts(machine.mem_mut())?;
         let scratch = layout.alloc_words(1)?;
         Ok(Self {
@@ -673,31 +680,21 @@ impl Session {
         Ok(spec.out_base)
     }
 
+    /// The staged image: the bytes below the layout's high-water mark,
+    /// rounded up to a whole dirty-tracking block. Engines run on exactly
+    /// this much memory, so a stray access past the staged data faults.
+    pub(crate) fn image(&self) -> MemImage {
+        self.machine
+            .mem()
+            .image_prefix(self.layout.cursor() as usize)
+    }
+
     /// Appends the halt and assembles, handing back the program and the
     /// machine whose memory holds the staged image.
     pub(crate) fn into_program(mut self) -> Result<(Program, Machine), CoreError> {
         self.asm.ecall();
         let prog = self.asm.assemble()?;
         Ok((prog, self.machine))
-    }
-
-    /// Appends the halt, assembles, runs, and reads the result.
-    pub(crate) fn finish(
-        self,
-        out_addr: u32,
-        out_len: usize,
-        max_cycles: u64,
-    ) -> Result<(Vec<Q3p12>, crate::report::RunReport), CoreError> {
-        let (prog, mut machine) = self.into_program()?;
-        machine.load_program(&prog);
-        let started = std::time::Instant::now();
-        machine.run(max_cycles)?;
-        let host_nanos = started.elapsed().as_nanos() as u64;
-        let outputs = machine.mem().read_q3p12_slice(out_addr, out_len)?;
-        Ok((
-            outputs,
-            crate::report::RunReport::new(machine.stats().clone()).with_host_nanos(host_nanos),
-        ))
     }
 }
 
@@ -804,6 +801,12 @@ mod tests {
         assert_eq!(compiled.input().steps(), 3);
         assert_eq!(compiled.output().len(), 4);
         assert_eq!(compiled.name(), "probe");
-        assert!(compiled.image().len() >= DATA_BASE as usize);
+        // The final FC output buffer (4 outputs + 1 slack halfword,
+        // word-aligned) is the last allocation, so it ends at the
+        // layout's high-water mark; the image stops at the next block.
+        let out = compiled.output();
+        let high_water = out.base() as usize + (2 * (out.len() + 1)).next_multiple_of(4);
+        assert_eq!(compiled.image().len(), high_water.next_multiple_of(64));
+        assert!(compiled.image().len() > DATA_BASE as usize);
     }
 }

@@ -276,7 +276,7 @@ pub(crate) fn compile_clustered(
         len: (2 * width * steps) as u32,
     }];
 
-    let image = s.machine.mem().image();
+    let image = s.image();
     // The flat single-machine program is empty for a clustered artifact;
     // the executable code lives in the per-phase kernels.
     let program = {

@@ -8,9 +8,8 @@
 //! [`CompiledNetwork`](crate::compile::CompiledNetwork) and reuse one
 //! engine instead. Outputs, cycle counts and per-mnemonic histograms are
 //! bit-identical either way. The per-layer entry points (`run_fc`,
-//! `run_lstm`, `run_conv`, `run_fc8`) keep their single-shot sessions —
-//! they exist for kernel-level experiments where compile cost is not on
-//! the measured path.
+//! `run_lstm`, `run_conv`) compile a one-stage network and take the same
+//! engine path; only the INT8 `run_fc8` keeps a single-shot session.
 
 use crate::compile::{compile_stages, Session, StageInput};
 use crate::engine::Engine;
@@ -21,15 +20,6 @@ use crate::report::RunReport;
 use rnnasip_fixed::{Q1p6, Q3p12};
 use rnnasip_nn::{Conv2dLayer, FcLayer, FcLayer8, LstmLayer, Network, Stage};
 
-/// One executed layer: outputs plus statistics.
-#[derive(Clone, Debug)]
-pub struct LayerRun {
-    /// The layer outputs read back from simulated memory.
-    pub outputs: Vec<Q3p12>,
-    /// Cycle/instruction statistics of the run.
-    pub report: RunReport,
-}
-
 /// One executed INT8 layer: Q1.6 outputs plus statistics.
 #[derive(Clone, Debug)]
 pub struct Layer8Run {
@@ -39,7 +29,8 @@ pub struct Layer8Run {
     pub report: RunReport,
 }
 
-/// One executed network: final outputs plus statistics.
+/// One executed network (or single layer): final outputs plus
+/// statistics.
 #[derive(Clone, Debug)]
 pub struct NetworkRun {
     /// The network outputs.
@@ -67,19 +58,19 @@ pub const DEFAULT_WATCHDOG_CYCLES: u64 = 64_000_000;
 #[derive(Clone, Debug)]
 pub struct KernelBackend {
     level: OptLevel,
-    pub(crate) mem_bytes: usize,
     pub(crate) max_cycles: u64,
     pub(crate) max_tile: usize,
     pub(crate) cores: usize,
 }
 
 impl KernelBackend {
-    /// Creates a backend with 4 MiB of TCDM and the default watchdog
-    /// ([`DEFAULT_WATCHDOG_CYCLES`]).
+    /// Creates a backend with the default watchdog
+    /// ([`DEFAULT_WATCHDOG_CYCLES`]). Data is laid out in a 4 MiB TCDM
+    /// (larger layouts are [`CoreError::OutOfMemory`]); each compiled
+    /// image keeps only the bytes up to the layout's high-water mark.
     pub fn new(level: OptLevel) -> Self {
         Self {
             level,
-            mem_bytes: 4 << 20,
             max_cycles: DEFAULT_WATCHDOG_CYCLES,
             max_tile: crate::kernels::MAX_TILE,
             cores: 0,
@@ -121,13 +112,6 @@ impl KernelBackend {
         self
     }
 
-    /// Overrides the TCDM size.
-    #[must_use]
-    pub fn with_memory(mut self, bytes: usize) -> Self {
-        self.mem_bytes = bytes;
-        self
-    }
-
     /// Overrides the watchdog budget.
     #[must_use]
     pub fn with_max_cycles(mut self, cycles: u64) -> Self {
@@ -140,23 +124,14 @@ impl KernelBackend {
         self.level
     }
 
-    /// Runs a fully-connected layer.
+    /// Runs a fully-connected layer: compiled as a one-stage network and
+    /// executed on a one-shot [`Engine`].
     ///
     /// # Errors
     ///
     /// Shape, layout, assembly or simulation errors ([`CoreError`]).
-    pub fn run_fc(&self, layer: &FcLayer, input: &[Q3p12]) -> Result<LayerRun, CoreError> {
-        if input.len() != layer.n_in() {
-            return Err(CoreError::Shape(format!(
-                "input length {} != layer n_in {}",
-                input.len(),
-                layer.n_in()
-            )));
-        }
-        let mut s = Session::new(self)?;
-        let (out_addr, _) = s.emit_fc_stage(layer, StageInput::Staged(input.to_vec()))?;
-        let (outputs, report) = s.finish(out_addr, layer.n_out(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+    pub fn run_fc(&self, layer: &FcLayer, input: &[Q3p12]) -> Result<NetworkRun, CoreError> {
+        self.run_layer(Stage::Fc(layer.clone()), &[input.to_vec()])
     }
 
     /// Runs an LSTM layer over a sequence, returning the final hidden
@@ -169,11 +144,12 @@ impl KernelBackend {
         &self,
         layer: &LstmLayer,
         sequence: &[Vec<Q3p12>],
-    ) -> Result<LayerRun, CoreError> {
-        let mut s = Session::new(self)?;
-        let (out_addr, _) = s.emit_lstm_stage(layer, sequence)?;
-        let (outputs, report) = s.finish(out_addr, layer.n_hidden(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+    ) -> Result<NetworkRun, CoreError> {
+        let stage = Stage::Lstm {
+            layer: layer.clone(),
+            steps: sequence.len(),
+        };
+        self.run_layer(stage, sequence)
     }
 
     /// Runs a convolution layer on a flattened feature map.
@@ -181,19 +157,14 @@ impl KernelBackend {
     /// # Errors
     ///
     /// Shape, layout, assembly or simulation errors ([`CoreError`]).
-    pub fn run_conv(&self, conv: &Conv2dLayer, input: &[Q3p12]) -> Result<LayerRun, CoreError> {
-        if input.len() != conv.n_in() {
-            return Err(CoreError::Shape(format!(
-                "input length {} != conv n_in {}",
-                input.len(),
-                conv.n_in()
-            )));
-        }
-        let mut s = Session::new(self)?;
-        let src = s.stage_vector(input)?;
-        let out_addr = s.emit_conv_stage(conv, src, input.len())?;
-        let (outputs, report) = s.finish(out_addr, conv.n_out(), self.max_cycles)?;
-        Ok(LayerRun { outputs, report })
+    pub fn run_conv(&self, conv: &Conv2dLayer, input: &[Q3p12]) -> Result<NetworkRun, CoreError> {
+        self.run_layer(Stage::Conv(conv.clone()), &[input.to_vec()])
+    }
+
+    /// Compiles one stage as a single-stage network and runs it once.
+    fn run_layer(&self, stage: Stage, sequence: &[Vec<Q3p12>]) -> Result<NetworkRun, CoreError> {
+        let compiled = compile_stages(self, "layer", std::slice::from_ref(&stage))?;
+        Engine::new(compiled).run(sequence)
     }
 
     /// Compiles a fully-connected layer to its program *without* running

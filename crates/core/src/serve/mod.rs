@@ -1,5 +1,5 @@
-//! Concurrent batch serving: a sharded pool of warm engines behind a
-//! work-stealing scheduler.
+//! Concurrent batch serving: a pool of warm engines fed from one shared
+//! batch queue.
 //!
 //! The paper's deployment story is a base-station controller scoring
 //! many users per scheduling tick; PRs 2–4 built the single-request
@@ -12,18 +12,19 @@
 //!   pair — seeded from a pool-wide compile-once cache of
 //!   [`CompiledNetwork`](crate::CompiledNetwork) artifacts, so a network
 //!   is compiled exactly once per level no matter how many workers serve
-//!   it.
+//!   it. An engine is only as large as its network's staged data, so a
+//!   worker builds one for a shard it has not served yet in tens of µs.
 //! - [`BatchRequest`] carries a slab of input windows (each against any
 //!   network/level); [`BatchResponse`] returns per-request results in
 //!   **submission order** plus an order-independent aggregate
 //!   ([`BatchResponse::merged_report`]).
-//! - The scheduler routes each request to the worker owning its shard
-//!   (deterministic FNV hash) and lets idle workers **steal** from busy
-//!   ones, so consecutive requests against one compiled program mostly
-//!   stay on one worker — paying only the amortized dirty-block rewind
-//!   and a bulk input patch per request, no re-compile, no image clone,
-//!   no per-request buffer churn — without a hot shard ever serializing
-//!   the pool.
+//! - [`EnginePool::submit`] pushes each non-empty batch as one job onto
+//!   a shared FIFO (`Mutex<VecDeque>` plus one `Condvar` wake per
+//!   batch). Workers **claim** item indices from the front job with an
+//!   atomic counter, so a request costs one `fetch_add` of hand-off, not
+//!   a lock and a wake; the worker that finds the job exhausted pops it.
+//!   Each request then pays only the dirty-block rewind and a bulk input
+//!   patch on the claiming worker's warm engine.
 //! - A worker whose run fails a simulation heals **in place** (the
 //!   rewind → rebuild ladder of the resilience module) and keeps
 //!   serving; the batch still completes, and the outcome records which
@@ -54,7 +55,6 @@ mod batch;
 mod front;
 mod latency;
 mod pool;
-mod scheduler;
 
 pub use batch::{BatchItem, BatchRequest, BatchResponse, ItemOutcome};
 pub use front::{

@@ -1,4 +1,5 @@
-//! The sharded engine pool: worker threads with warm per-shard engines.
+//! The engine pool: worker threads with warm per-shard engines, fed from
+//! one shared batch queue.
 
 use crate::compile::CompiledNetwork;
 use crate::engine::Engine;
@@ -7,8 +8,7 @@ use crate::optlevel::OptLevel;
 use crate::resilience::RecoveryAction;
 use crate::runner::KernelBackend;
 use crate::serve::batch::{BatchItem, BatchRequest, BatchResponse, ItemOutcome};
-use crate::serve::scheduler::Scheduler;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -23,23 +23,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// FNV-1a over the shard key — a *deterministic* router (the std
-/// `HashMap` hasher is seeded per process, which would make placement,
-/// and therefore warm-engine behaviour, vary run to run).
-fn route(key_name: &str, level: OptLevel) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key_name.bytes().chain([level as u8]) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize
+/// One submitted batch on the shared queue. Workers claim item indices
+/// with `next`; the worker that finds it past the end pops the job.
+///
+/// `next` publishes no data (the items are published by the queue lock,
+/// results by the batch state's locks): `fetch_add` alone makes every
+/// claimed index unique, so `Relaxed` suffices.
+struct Job {
+    items: Vec<BatchItem>,
+    next: AtomicUsize,
+    state: Arc<BatchState>,
 }
 
-/// One queued unit of work: which batch slot to fill, with what request.
-struct Task {
-    state: Arc<BatchState>,
-    index: usize,
-    item: BatchItem,
+/// The shared FIFO of submitted batches plus the shutdown latch, guarded
+/// together so a parked worker can atomically decide "nothing to claim
+/// *and* not shutting down" before sleeping.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Arc<Job>>,
+    closed: bool,
 }
 
 /// Shared completion state of one in-flight batch.
@@ -97,7 +99,9 @@ impl BatchState {
 
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    sched: Scheduler<Task>,
+    queue: Mutex<Queue>,
+    /// Signalled once per submitted batch and at shutdown.
+    work: Condvar,
     /// Compile-once cache: one [`CompiledNetwork`] per shard, cloned out
     /// (cheaply — the image is `Arc`-shared) to seed per-worker engines.
     /// Compilation happens under the lock, so concurrent first requests
@@ -155,7 +159,7 @@ impl BatchTicket {
 }
 
 /// A pool of worker threads serving batched RNN inference from warm,
-/// sharded [`Engine`]s.
+/// worker-local [`Engine`]s.
 ///
 /// See the [module docs](crate::serve) for topology and the determinism
 /// argument.
@@ -231,7 +235,8 @@ impl EnginePool {
     fn build(workers: usize, cores: usize, guards: bool) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            sched: Scheduler::new(workers),
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
             compiled: Mutex::new(HashMap::new()),
             cores,
             guards,
@@ -243,7 +248,7 @@ impl EnginePool {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("rnnasip-serve-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -255,7 +260,7 @@ impl EnginePool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.sched.workers()
+        self.workers.len()
     }
 
     /// Test hook: arms `n` one-shot worker panics. Each of the next `n`
@@ -271,21 +276,19 @@ impl EnginePool {
         self.shared.panics_caught.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a batch and returns immediately; each item is routed to
-    /// the worker owning its engine shard (idle workers steal, so a hot
-    /// shard never serializes the whole pool).
+    /// Enqueues a batch and returns immediately. Batches are served in
+    /// submission order; every idle worker claims items of the oldest
+    /// unfinished batch, one index at a time.
     pub fn submit(&self, batch: BatchRequest) -> BatchTicket {
         let state = Arc::new(BatchState::new(batch.items.len()));
-        for (index, item) in batch.items.into_iter().enumerate() {
-            let hint = route(item.net.name(), item.level);
-            self.shared.sched.push(
-                hint,
-                Task {
-                    state: state.clone(),
-                    index,
-                    item,
-                },
-            );
+        if !batch.items.is_empty() {
+            let job = Arc::new(Job {
+                items: batch.items,
+                next: AtomicUsize::new(0),
+                state: state.clone(),
+            });
+            lock(&self.shared.queue).jobs.push_back(job);
+            self.shared.work.notify_all();
         }
         BatchTicket { state }
     }
@@ -307,20 +310,48 @@ impl Default for EnginePool {
 impl Drop for EnginePool {
     /// Drains queued work, then stops and joins every worker.
     fn drop(&mut self) {
-        self.shared.sched.close();
+        lock(&self.shared.queue).closed = true;
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The worker body: pull tasks, serve them from this worker's warm
-/// engines, fill the batch slots.
-fn worker_loop(shared: &PoolShared, id: usize) {
+/// The worker body: claim items of the oldest unfinished batch, serve
+/// them from this worker's warm engines, fill the batch slots.
+fn worker_loop(shared: &PoolShared) {
     let mut engines: HashMap<ShardKey, Engine> = HashMap::new();
-    while let Some(task) = shared.sched.next(id) {
-        let outcome = serve_item(shared, &mut engines, &task.item);
-        task.state.complete(task.index, outcome);
+    while let Some(job) = next_job(shared) {
+        loop {
+            let index = job.next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = job.items.get(index) else {
+                break;
+            };
+            let outcome = serve_item(shared, &mut engines, item);
+            job.state.complete(index, outcome);
+        }
+    }
+}
+
+/// Blocks until the front job has an unclaimed item, popping exhausted
+/// jobs on the way. Returns `None` once the pool is closed and drained.
+fn next_job(shared: &PoolShared) -> Option<Arc<Job>> {
+    let mut queue = lock(&shared.queue);
+    loop {
+        while let Some(front) = queue.jobs.front() {
+            if front.next.load(Ordering::Relaxed) < front.items.len() {
+                return Some(Arc::clone(front));
+            }
+            queue.jobs.pop_front();
+        }
+        if queue.closed {
+            return None;
+        }
+        queue = shared
+            .work
+            .wait(queue)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }
 
@@ -480,41 +511,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routing_is_deterministic_and_level_sensitive() {
-        assert_eq!(
-            route("eisen2019", OptLevel::IfmTile),
-            route("eisen2019", OptLevel::IfmTile)
-        );
-        assert_ne!(
-            route("eisen2019", OptLevel::IfmTile),
-            route("eisen2019", OptLevel::Baseline),
-            "levels are separate shards"
-        );
-    }
-
-    #[test]
-    fn fnv_routing_balances_across_worker_counts() {
-        // 10k distinct shard keys must spread near-uniformly over every
-        // pool width the repo tests at: the max/min per-worker load
-        // ratio stays under 1.5 (a skewed router would starve warm
-        // engines on some workers and hot-spot others).
-        for &workers in &[1usize, 2, 8] {
-            let mut loads = vec![0u64; workers];
-            for i in 0..10_000 {
-                let key = format!("ue-net-{i}");
-                loads[route(&key, OptLevel::IfmTile) % workers] += 1;
-            }
-            let max = *loads.iter().max().unwrap();
-            let min = *loads.iter().min().unwrap();
-            assert!(min > 0, "{workers} workers: a shard got no load");
-            assert!(
-                max as f64 / min as f64 <= 1.5,
-                "{workers} workers: shard skew {max}/{min} exceeds 1.5"
-            );
-        }
-    }
-
-    #[test]
     fn ticket_try_wait_drains_without_blocking() {
         let suite = rnnasip_rrm::suite();
         let net = Arc::new(suite[3].network.clone());
@@ -542,6 +538,27 @@ mod tests {
         let ticket = pool.submit(BatchRequest::new());
         assert!(ticket.is_complete());
         assert!(ticket.try_wait().is_ok());
+    }
+
+    #[test]
+    fn drop_drains_every_queued_batch() {
+        let suite = rnnasip_rrm::suite();
+        let net = Arc::new(suite[3].network.clone());
+        let pool = EnginePool::with_workers(2);
+        let tickets: Vec<_> = (0..4)
+            .map(|_| {
+                let mut batch = BatchRequest::new();
+                for _ in 0..3 {
+                    batch.push(net.clone(), OptLevel::IfmTile, suite[3].input());
+                }
+                pool.submit(batch)
+            })
+            .collect();
+        drop(pool);
+        for ticket in tickets {
+            assert!(ticket.is_complete(), "shutdown left a batch unserved");
+            assert!(ticket.wait().all_ok());
+        }
     }
 
     #[test]

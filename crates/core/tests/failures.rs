@@ -17,13 +17,20 @@ fn wrong_input_length_is_a_shape_error() {
 
 #[test]
 fn tiny_memory_reports_out_of_memory() {
-    let layer = seeded_fc_layer(64, 64, 2);
-    let input = seeded_input(64, 3);
+    // 2100 inputs x 1024 outputs of Q3.12 weights are 4.3 MB: more than
+    // the whole 4 MiB TCDM the compiler lays data out in.
+    let layer = seeded_fc_layer(2100, 1024, 2);
+    let input = seeded_input(2100, 3);
     let err = KernelBackend::new(OptLevel::IfmTile)
-        .with_memory(0x10000 + 512) // data region: 512 bytes
         .run_fc(&layer, &input)
         .unwrap_err();
-    assert!(matches!(err, CoreError::OutOfMemory { .. }), "{err}");
+    match err {
+        CoreError::OutOfMemory { needed, capacity } => {
+            assert_eq!(capacity, 4 << 20);
+            assert!(needed > capacity, "{needed} <= {capacity}");
+        }
+        other => panic!("expected OutOfMemory, got {other}"),
+    }
 }
 
 #[test]

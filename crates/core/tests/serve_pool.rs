@@ -122,6 +122,39 @@ fn pooled_suite_matches_serial_golden_at_every_worker_count() {
             serial_csv,
             "{workers} workers: merged stats rows diverged"
         );
+
+        // The same shuffled suite as several queued batches: every ticket
+        // is submitted before any wait and collected in reverse order, so
+        // later jobs are claimed while earlier ones are still queued.
+        let chunks: Vec<&[usize]> = order.chunks(3).collect();
+        let tickets: Vec<_> = chunks
+            .iter()
+            .map(|chunk| {
+                let mut batch = BatchRequest::new();
+                for &net_idx in *chunk {
+                    let (net, input, _) = &suite[net_idx];
+                    batch.push(net.clone(), level, input.clone());
+                }
+                pool.submit(batch)
+            })
+            .collect();
+        for (chunk, ticket) in chunks.iter().zip(tickets).rev() {
+            let response = ticket.wait();
+            assert_eq!(response.len(), chunk.len());
+            for (&net_idx, outcome) in chunk.iter().zip(response.outcomes()) {
+                let golden = &suite[net_idx].2;
+                let run = outcome.result.as_ref().unwrap();
+                assert_eq!(
+                    run.outputs, golden.outputs,
+                    "{workers} workers, queued net {net_idx}: outputs diverged"
+                );
+                assert_eq!(
+                    run.report.stats().to_csv(),
+                    golden.report.stats().to_csv(),
+                    "{workers} workers, queued net {net_idx}: per-mnemonic rows diverged"
+                );
+            }
+        }
     }
 }
 
@@ -259,7 +292,7 @@ fn hundred_pools_shut_down_cleanly_under_submission_load() {
         }
         let ticket = pool.submit(batch);
         if generation % 2 == 0 {
-            // Drop the pool FIRST: Drop closes the scheduler and joins
+            // Drop the pool FIRST: Drop closes the queue and joins
             // the workers, which drain the queue before exiting — the
             // ticket must still complete with full, correct results.
             drop(pool);

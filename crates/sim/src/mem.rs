@@ -249,6 +249,18 @@ impl Memory {
         }
     }
 
+    /// Snapshots only the first `len` bytes, rounded up to a whole
+    /// dirty-tracking block (and clamped to the memory size). A memory
+    /// built from the result is exactly that long, so an access past the
+    /// snapshot raises [`SimError::MemOutOfBounds`] instead of reading
+    /// the zeros beyond it.
+    pub fn image_prefix(&self, len: usize) -> MemImage {
+        let len = len.next_multiple_of(BLOCK_BYTES).min(self.t.len());
+        MemImage {
+            bytes: Arc::from(&self.t.as_bytes()[..len]),
+        }
+    }
+
     /// Replaces the whole contents with `image` and clears all dirty
     /// bits (full copy — use [`restore_image`](Self::restore_image) for
     /// the incremental path).
@@ -551,6 +563,21 @@ mod tests {
         assert_eq!(copy.size(), 256);
         assert_eq!(copy.read_u32(8).unwrap(), 0x0102_0304);
         assert_eq!(copy.dirty_bytes(), 0);
+    }
+
+    #[test]
+    fn image_prefix_rounds_to_a_block_and_bounds_the_copy() {
+        let mut mem = Memory::new(256);
+        mem.write_u32(68, 0x0102_0304).unwrap();
+        let image = mem.image_prefix(72);
+        assert_eq!(image.len(), 128, "rounded up to a whole block");
+        assert_eq!(mem.image_prefix(1000).len(), 256, "clamped to the memory");
+        let copy = Memory::from_image(&image);
+        assert_eq!(copy.read_u32(68).unwrap(), 0x0102_0304);
+        assert!(matches!(
+            copy.read_u32(128),
+            Err(SimError::MemOutOfBounds { .. })
+        ));
     }
 
     #[test]
