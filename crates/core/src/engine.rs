@@ -108,9 +108,13 @@ impl Engine {
     }
 
     /// Read-only view of the underlying machine — cycle counters,
-    /// statistics, and block-runner coverage diagnostics
-    /// (`Machine::bulk_instrs`). For a cluster engine this is core 0;
-    /// use [`cluster`](Self::cluster) for the full picture.
+    /// statistics, and block-runner coverage diagnostics. Note that
+    /// `Machine::bulk_instrs` is cumulative over the machine's lifetime
+    /// (runs are rewound, the counter is not; a rebuild starts a fresh
+    /// machine at 0): read it before and after a run and divide the
+    /// difference by that run's instructions for its bulk coverage. For
+    /// a cluster engine this is core 0; use [`cluster`](Self::cluster)
+    /// for the full picture.
     pub fn machine(&self) -> &Machine {
         match &self.exec {
             Exec::Single(m) => m,

@@ -51,6 +51,18 @@ enum Flow {
     Halt(ExitReason),
 }
 
+/// How a bulk pass loop ([`Machine::exec_bulk`]) stopped.
+enum BulkEnd {
+    /// Every requested pass ran to its end.
+    Passes,
+    /// A branch-closed run's closing branch fell through: the loop
+    /// exited at the end of this (uncounted) pass, every op retired.
+    Exit,
+    /// Op `.0` of a partial pass faulted without retiring; earlier ops
+    /// of that pass retired.
+    Fault(usize, SimError),
+}
+
 /// Upper bound on the cycles one [`Machine::step`] can consume, used by
 /// [`Machine::run`] to size watchdog-check-free blocks.
 ///
@@ -143,9 +155,14 @@ impl Machine {
     }
 
     /// Instructions retired through the specialized block runners rather
-    /// than the generic per-op path, since construction. The
-    /// bulk-coverage ratio `bulk_instrs() / core().instret` is the main
-    /// diagnostic for micro-op-path throughput.
+    /// than the generic per-op path, cumulative since construction.
+    ///
+    /// Unlike [`shortcut_instrs`](Self::shortcut_instrs), the counter is
+    /// *not* reset by [`rewind`](Self::rewind) or
+    /// [`clear_stats`](Self::clear_stats), so on a warm machine it spans
+    /// every run so far. For one run's bulk coverage, take the
+    /// difference of two readings around the run and divide it by that
+    /// run's retired instructions: `(after - before) / instrs`.
     pub fn bulk_instrs(&self) -> u64 {
         self.bulk_instrs
     }
@@ -690,10 +707,10 @@ impl Machine {
             return Ok(UStep::Bulk);
         }
 
-        // A specialized straight-line run starts here: execute the whole
-        // run in bulk if the runtime preconditions hold (no armed loop
-        // end inside, enough watchdog budget). The entry stall above is
-        // already charged either way.
+        // A specialized straight-line run — or a branch-closed loop whose
+        // head this is — starts here: execute it in bulk if the runtime
+        // preconditions hold (no armed loop end inside, enough watchdog
+        // budget). The entry stall above is already charged either way.
         if u.run != NO_RUN && self.run_straight(uops, u.run, idx, max_cycles)? {
             return Ok(UStep::Bulk);
         }
@@ -973,7 +990,7 @@ impl Machine {
         }
 
         let slice = &uops.uops[body.start_idx as usize..(body.start_idx + body.len) as usize];
-        let (done, fault) = self.exec_bulk(slice, iters);
+        let (done, end) = self.exec_bulk(slice, iters);
 
         // Bulk-account the completed iterations: cycles, loop count and
         // one row update per mnemonic. PC stays at the body start — every
@@ -990,51 +1007,72 @@ impl Machine {
             self.stats.attribute_stalls(id, n * done);
         }
 
-        match fault {
-            None => {
+        match end {
+            BulkEnd::Fault(k, e) => Err(self.unwind_partial_pass(slice, &body.stall_in, k, e)),
+            // Hardware-loop bodies hold no branch, so they cannot exit.
+            BulkEnd::Passes | BulkEnd::Exit => {
                 // The generic path would have retired the body's last op
                 // just before returning here, leaving its load pending.
-                let last = slice[slice.len() - 1];
-                self.pending_load =
-                    (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
+                self.pending_load = pending_after(&slice[slice.len() - 1]);
                 Ok(true)
-            }
-            Some((k, e)) => {
-                // A fault in op `k` of the partial iteration: retire ops
-                // 0..k individually (their register/memory effects are
-                // already applied), charge the stall the faulting op
-                // suffered on entry, and leave the PC on the faulting op
-                // — exactly the state the generic path faults with.
-                for (j, u) in slice.iter().take(k).enumerate() {
-                    if let Some(id) = body.stall_in[j] {
-                        self.stats.attribute_stall(id);
-                        self.core.cycle += 1;
-                    }
-                    self.stats
-                        .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
-                    self.core.cycle += u64::from(u.base_cycles);
-                }
-                if let Some(id) = body.stall_in[k] {
-                    self.stats.attribute_stall(id);
-                    self.core.cycle += 1;
-                }
-                self.pending_load = None;
-                self.core.pc = slice[k].addr;
-                Err(e)
             }
         }
     }
 
+    /// Accounts a fault in op `k` of a partial bulk pass: retires ops
+    /// 0..k individually (their register/memory effects are already
+    /// applied), charges the stall the faulting op suffered on entry,
+    /// and leaves the PC on the faulting op — exactly the state the
+    /// generic path faults with. Returns the fault to propagate.
+    ///
+    /// For a hardware-loop body `stall_in[0]` is the wrap-around stall
+    /// from the previous iteration. Straight and branch-closed runs have
+    /// none there: `uop_step` charged a run's entry stall before the
+    /// bulk attempt, and a closing branch never loads.
+    fn unwind_partial_pass(
+        &mut self,
+        slice: &[Uop],
+        stall_in: &[Option<MnemonicId>],
+        k: usize,
+        e: SimError,
+    ) -> SimError {
+        for (u, stall) in slice.iter().zip(stall_in).take(k) {
+            if let Some(id) = *stall {
+                self.stats.attribute_stall(id);
+                self.core.cycle += 1;
+            }
+            self.stats
+                .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
+            self.core.cycle += u64::from(u.base_cycles);
+        }
+        if let Some(id) = stall_in[k] {
+            self.stats.attribute_stall(id);
+            self.core.cycle += 1;
+        }
+        self.pending_load = None;
+        self.core.pc = slice[k].addr;
+        e
+    }
+
     /// Attempts a bulk pass of straight-line run `ri`, whose first op the
-    /// PC sits on.
+    /// PC sits on — or, for a branch-closed run, bulk iterations of the
+    /// software loop whose head the PC sits on.
     ///
     /// Returns `Ok(false)` when the preconditions don't hold: an *armed*
     /// hardware loop's end address lies on one of the run's fall-through
     /// addresses (the generic path would divert control there), or the
-    /// watchdog budget can't cover the whole run. On `Ok(true)` the run
+    /// watchdog budget can't cover one (taken) pass. On `Ok(true)` the run
     /// was executed and accounted in bulk, leaving exactly the state the
     /// generic path would have produced; a mid-run fault unwinds to exact
     /// per-op accounting before returning the error.
+    ///
+    /// A branch-closed run repeats passes while its closing branch is
+    /// taken, up to the number of taken passes the budget covers — so
+    /// the cycle counter never passes `max_cycles` and the watchdog
+    /// still fires on the exact cycle, from the generic path. It ends
+    /// with the PC on the head when that cap stops it, or on the branch
+    /// fall-through when the loop exits; the exit pass is charged
+    /// without the taken cycle.
     fn run_straight(
         &mut self,
         uops: &UopProgram,
@@ -1054,52 +1092,53 @@ impl Machine {
                 return Ok(false);
             }
         }
-        if run.cycles > max_cycles.saturating_sub(self.core.cycle) {
+        let budget = max_cycles.saturating_sub(self.core.cycle);
+        let iters = if run.closed {
+            budget / run.cycles
+        } else {
+            u64::from(run.cycles <= budget)
+        };
+        if iters == 0 {
             return Ok(false);
         }
 
         let slice = &uops.uops[run.start_idx as usize..(run.start_idx + run.len) as usize];
-        let (_, fault) = self.exec_bulk(slice, 1);
+        let (done, end) = self.exec_bulk(slice, iters);
 
-        match fault {
-            None => {
-                self.core.cycle += run.cycles;
-                self.bulk_instrs += u64::from(run.len);
-                for &(id, instrs, cycles, macs) in &run.retire_rows {
-                    self.stats.record_many(id, instrs, cycles, macs);
-                }
-                for &(id, n) in &run.stall_rows {
-                    self.stats.attribute_stalls(id, n);
-                }
-                let last = slice[slice.len() - 1];
-                self.pending_load =
-                    (last.load_rd != 0).then(|| (Reg::from_bits(u32::from(last.load_rd)), last.id));
+        // One row update per mnemonic for every whole pass, the exit pass
+        // included; its closing branch fell through, one cycle short.
+        let exited = matches!(end, BulkEnd::Exit);
+        let passes = done + u64::from(exited);
+        let last = slice[slice.len() - 1];
+        self.core.cycle += passes * run.cycles - u64::from(exited);
+        self.bulk_instrs += passes * u64::from(run.len);
+        for &(id, instrs, cycles, macs) in &run.retire_rows {
+            let untaken = u64::from(exited && id == last.id);
+            self.stats.record_many(
+                id,
+                instrs * passes,
+                cycles * passes - untaken,
+                macs * passes,
+            );
+        }
+        for &(id, n) in &run.stall_rows {
+            self.stats.attribute_stalls(id, n * passes);
+        }
+
+        match end {
+            BulkEnd::Fault(k, e) => Err(self.unwind_partial_pass(slice, &run.stall_in, k, e)),
+            // Out of budget mid-loop: every pass so far branched back.
+            BulkEnd::Passes if run.closed => {
+                self.pending_load = None;
+                self.core.pc = run.start_addr;
+                *idx = run.start_idx;
+                Ok(true)
+            }
+            BulkEnd::Passes | BulkEnd::Exit => {
+                self.pending_load = pending_after(&last);
                 self.core.pc = run.end_addr;
                 *idx = run.start_idx + run.len;
                 Ok(true)
-            }
-            Some((k, e)) => {
-                // Retire ops 0..k individually (their register/memory
-                // effects are already applied) and charge the faulting
-                // op's entry stall, leaving the PC on the faulting op —
-                // exactly the state the generic path faults with. (The
-                // *run* entry stall was charged by the caller.)
-                for (j, u) in slice.iter().take(k).enumerate() {
-                    if let Some(id) = run.stall_in[j] {
-                        self.stats.attribute_stall(id);
-                        self.core.cycle += 1;
-                    }
-                    self.stats
-                        .record(u.id, u64::from(u.base_cycles), u32::from(u.mac_ops));
-                    self.core.cycle += u64::from(u.base_cycles);
-                }
-                if let Some(id) = run.stall_in[k] {
-                    self.stats.attribute_stall(id);
-                    self.core.cycle += 1;
-                }
-                self.pending_load = None;
-                self.core.pc = slice[k].addr;
-                Err(e)
             }
         }
     }
@@ -1116,10 +1155,14 @@ impl Machine {
     /// the generic path, and the deque is reconstructed verbatim (same
     /// `instret` keys) on exit, so machine state stays bit-identical.
     ///
-    /// Returns the number of completed passes and, for a partial pass,
-    /// the faulting op's slice index with the error. The faulting op
-    /// does not retire; earlier ops of the partial pass do.
-    fn exec_bulk(&mut self, slice: &[Uop], iters: u64) -> (u64, Option<(usize, SimError)>) {
+    /// A conditional branch can only be the last op of a branch-closed
+    /// run: taken, the next pass starts; not taken, the loop exits after
+    /// this pass ([`BulkEnd::Exit`], the pass is not counted in `done`).
+    ///
+    /// Returns the number of completed passes and how the pass loop
+    /// stopped. On a fault the faulting op does not retire; earlier ops
+    /// of the partial pass do.
+    fn exec_bulk(&mut self, slice: &[Uop], iters: u64) -> (u64, BulkEnd) {
         let mut spr = self.core.spr;
         let mut instret = self.core.instret;
         // In-flight SPR writes, oldest first. Every path drains before
@@ -1134,7 +1177,7 @@ impl Machine {
         }
 
         let mut done = 0u64;
-        let mut fault: Option<(usize, SimError)> = None;
+        let mut end = BulkEnd::Passes;
         'passes: for _ in 0..iters {
             for (k, u) in slice.iter().enumerate() {
                 // Writes issued two or more retirements ago land now —
@@ -1144,64 +1187,73 @@ impl Machine {
                     q[0] = q[1];
                     qn -= 1;
                 }
-                if let UopKind::PlSdotsp {
-                    spr: s,
-                    size,
-                    rd,
-                    rs1,
-                    rs2,
-                } = u.kind
-                {
-                    // `spr` was masked to 0/1 at translation; re-masking
-                    // here lets the compiler drop the bounds checks.
-                    let sl = usize::from(s & 1);
-                    let w = spr[sl];
-                    let x = self.core.reg(rs2);
-                    // Specialized signed×signed dot: lane products fit in
-                    // i32, and wrapping i32 sums equal the generic i64
-                    // accumulation truncated to 32 bits.
-                    let dot = match size {
-                        SimdSize::Half => {
-                            let p0 = (w as i16 as i32) * (x as i16 as i32);
-                            let p1 = ((w >> 16) as i16 as i32) * ((x >> 16) as i16 as i32);
-                            p0.wrapping_add(p1) as u32
-                        }
-                        SimdSize::Byte => {
-                            let mut sum = 0i32;
-                            for sh in [0u32, 8, 16, 24] {
-                                sum += ((w >> sh) as i8 as i32) * ((x >> sh) as i8 as i32);
+                match u.kind {
+                    UopKind::PlSdotsp {
+                        spr: s,
+                        size,
+                        rd,
+                        rs1,
+                        rs2,
+                    } => {
+                        // `spr` was masked to 0/1 at translation; re-masking
+                        // here lets the compiler drop the bounds checks.
+                        let sl = usize::from(s & 1);
+                        let w = spr[sl];
+                        let x = self.core.reg(rs2);
+                        // Specialized signed×signed dot: lane products fit in
+                        // i32, and wrapping i32 sums equal the generic i64
+                        // accumulation truncated to 32 bits.
+                        let dot = match size {
+                            SimdSize::Half => {
+                                let p0 = (w as i16 as i32) * (x as i16 as i32);
+                                let p1 = ((w >> 16) as i16 as i32) * ((x >> 16) as i16 as i32);
+                                p0.wrapping_add(p1) as u32
                             }
-                            sum as u32
+                            SimdSize::Byte => {
+                                let mut sum = 0i32;
+                                for sh in [0u32, 8, 16, 24] {
+                                    sum += ((w >> sh) as i8 as i32) * ((x >> sh) as i8 as i32);
+                                }
+                                sum as u32
+                            }
+                        };
+                        debug_assert_eq!(dot, exec_dot(DotOp::SdotSp, size, w, x));
+                        let acc = self.core.reg(rd).wrapping_add(dot);
+                        let addr = self.core.reg(rs1);
+                        match self.mem.read_u32(addr) {
+                            Ok(value) => {
+                                // After aging, at most the previous op's
+                                // write is still in flight, so qn <= 1.
+                                debug_assert!(qn < 2);
+                                q[qn & 1] = (instret, sl, value);
+                                qn += 1;
+                                self.core.set_reg(rd, acc);
+                                self.core.set_reg(rs1, addr.wrapping_add(4));
+                            }
+                            Err(e) => {
+                                end = BulkEnd::Fault(k, e);
+                                break 'passes;
+                            }
                         }
-                    };
-                    debug_assert_eq!(dot, exec_dot(DotOp::SdotSp, size, w, x));
-                    let acc = self.core.reg(rd).wrapping_add(dot);
-                    let addr = self.core.reg(rs1);
-                    match self.mem.read_u32(addr) {
-                        Ok(value) => {
-                            // After aging, at most the previous op's
-                            // write is still in flight, so qn <= 1.
-                            debug_assert!(qn < 2);
-                            q[qn & 1] = (instret, sl, value);
-                            qn += 1;
-                            self.core.set_reg(rd, acc);
-                            self.core.set_reg(rs1, addr.wrapping_add(4));
-                        }
-                        Err(e) => {
-                            fault = Some((k, e));
+                    }
+                    UopKind::Branch { op, rs1, rs2, .. } => {
+                        if !branch_taken(op, self.core.reg(rs1), self.core.reg(rs2)) {
+                            instret += 1;
+                            end = BulkEnd::Exit;
                             break 'passes;
                         }
                     }
-                } else {
-                    // Only `pl.sdotsp` reads or writes the SPR state and
-                    // only the (body-ineligible) CSR reads observe
-                    // `instret`, so the locals can stay stale across
-                    // this call.
-                    match self.exec_uop(u) {
-                        Ok(flow) => debug_assert!(matches!(flow, Flow::Fall)),
-                        Err(e) => {
-                            fault = Some((k, e));
-                            break 'passes;
+                    _ => {
+                        // Only `pl.sdotsp` reads or writes the SPR state
+                        // and only the (body-ineligible) CSR reads observe
+                        // `instret`, so the locals can stay stale across
+                        // this call.
+                        match self.exec_uop(u) {
+                            Ok(flow) => debug_assert!(matches!(flow, Flow::Fall)),
+                            Err(e) => {
+                                end = BulkEnd::Fault(k, e);
+                                break 'passes;
+                            }
                         }
                     }
                 }
@@ -1215,7 +1267,7 @@ impl Machine {
         for &e in q.iter().take(qn) {
             self.spr_pending.push_back(e);
         }
-        (done, fault)
+        (done, end)
     }
 
     /// Executes one instruction.
@@ -1696,6 +1748,11 @@ impl Machine {
     /// the pending-load hand-off are the caller's responsibility, which
     /// is what lets the loop-body runner share this with `uop_step` while
     /// accounting time in bulk.
+    ///
+    /// Always inlined: in `exec_bulk`'s pass loop over short scalar
+    /// bodies (the level-a MAC loop) an out-of-line call and its
+    /// `Result` hand-off cost about as much as the ops themselves.
+    #[inline(always)]
     fn exec_uop(&mut self, u: &Uop) -> Result<Flow, SimError> {
         match u.kind {
             UopKind::SetReg { rd, val } => self.core.set_reg(rd, val),
@@ -1717,17 +1774,7 @@ impl Machine {
                 rs2,
                 target,
             } => {
-                let a = self.core.reg(rs1);
-                let b = self.core.reg(rs2);
-                let taken = match op {
-                    BranchOp::Beq => a == b,
-                    BranchOp::Bne => a != b,
-                    BranchOp::Blt => (a as i32) < (b as i32),
-                    BranchOp::Bge => (a as i32) >= (b as i32),
-                    BranchOp::Bltu => a < b,
-                    BranchOp::Bgeu => a >= b,
-                };
-                if taken {
+                if branch_taken(op, self.core.reg(rs1), self.core.reg(rs2)) {
                     return Ok(Flow::Jump(target));
                 }
             }
@@ -2103,6 +2150,24 @@ impl Machine {
             Csr::LpCount1 => self.core.hwloop[1].count,
             Csr::Other(_) => 0,
         }
+    }
+}
+
+/// The register state a retired op leaves for the load-use stall rule.
+fn pending_after(u: &Uop) -> Option<(Reg, MnemonicId)> {
+    (u.load_rd != 0).then(|| (Reg::from_bits(u32::from(u.load_rd)), u.id))
+}
+
+/// Conditional-branch outcome for operands `a` (`rs1`) and `b` (`rs2`).
+#[inline]
+fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
+    match op {
+        BranchOp::Beq => a == b,
+        BranchOp::Bne => a != b,
+        BranchOp::Blt => (a as i32) < (b as i32),
+        BranchOp::Bge => (a as i32) >= (b as i32),
+        BranchOp::Bltu => a < b,
+        BranchOp::Bgeu => a >= b,
     }
 }
 
@@ -2543,6 +2608,296 @@ mod tests {
         m.run(1000).unwrap();
         assert_eq!(m.core().reg(Reg::A0), 42);
         assert_eq!(m.stats().cycles(), first_cycles);
+    }
+
+    fn branch(op: BranchOp, rs1: Reg, rs2: Reg, offset: i32) -> Instr {
+        Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        }
+    }
+
+    fn load(op: LoadOp, rd: Reg, rs1: Reg, offset: i32) -> Instr {
+        Instr::Load {
+            op,
+            rd,
+            rs1,
+            offset,
+        }
+    }
+
+    fn store(op: StoreOp, rs2: Reg, rs1: Reg, offset: i32) -> Instr {
+        Instr::Store {
+            op,
+            rs2,
+            rs1,
+            offset,
+        }
+    }
+
+    /// Asserts every observable of two machines matches: PC, counters,
+    /// registers, hardware-loop and SPR state, statistics rows, memory.
+    fn assert_same_state(a: &Machine, b: &Machine) {
+        let (ca, cb) = (a.core(), b.core());
+        assert_eq!(ca.pc, cb.pc, "pc");
+        assert_eq!(ca.cycle, cb.cycle, "cycle");
+        assert_eq!(ca.instret, cb.instret, "instret");
+        for r in Reg::all() {
+            assert_eq!(ca.reg(r), cb.reg(r), "reg {r}");
+        }
+        for l in 0..2 {
+            let (la, lb) = (ca.hwloop[l], cb.hwloop[l]);
+            assert_eq!((la.start, la.end, la.count), (lb.start, lb.end, lb.count));
+        }
+        assert_eq!(ca.spr, cb.spr, "spr");
+        assert!(a.stats().iter().eq(b.stats().iter()), "stats rows");
+        assert_eq!(a.stats().stall_cycles(), b.stats().stall_cycles());
+        assert_eq!(a.mem().image().as_bytes(), b.mem().image().as_bytes());
+    }
+
+    /// Runs `prog` with budget `max_cycles` on the micro-op path and on
+    /// the legacy interpreter from identically staged machines, asserts
+    /// both end bit-identically, and returns the micro-op machine with
+    /// its result.
+    fn run_vs_legacy(
+        prog: &Program,
+        stage: impl Fn(&mut Machine),
+        max_cycles: u64,
+    ) -> (Machine, Result<ExitReason, SimError>) {
+        let fresh = || {
+            let mut m = Machine::new(256);
+            stage(&mut m);
+            m.load_program(prog);
+            m
+        };
+        let (mut uop, mut legacy) = (fresh(), fresh());
+        let r = uop.run(max_cycles);
+        assert_eq!(r, legacy.run_legacy(max_cycles), "budget {max_cycles}");
+        assert_same_state(&uop, &legacy);
+        (uop, r)
+    }
+
+    #[test]
+    fn watchdog_fires_on_the_exact_cycle_inside_a_branch_loop() {
+        // head: addi a0; lw t0; add a2 (stalls on t0); bgeu a0, zero,
+        // head — always taken, 6 cycles per pass, never exits.
+        let prog = Program::from_instrs(
+            0,
+            vec![
+                addi(Reg::A1, Reg::ZERO, 0x40),
+                addi(Reg::A0, Reg::A0, 1),
+                load(LoadOp::Lw, Reg::T0, Reg::A1, 0),
+                Instr::Op {
+                    op: AluOp::Add,
+                    rd: Reg::A2,
+                    rs1: Reg::A2,
+                    rs2: Reg::T0,
+                },
+                branch(BranchOp::Bgeu, Reg::A0, Reg::ZERO, -12),
+                Instr::Ecall,
+            ],
+        );
+        assert_eq!(UopProgram::translate(&prog).branch_loops(), 1);
+        for max_cycles in (1..=80).chain([997, 998, 999, 1000, 1001, 1002, 100_003]) {
+            let (m, r) = run_vs_legacy(&prog, |_| {}, max_cycles);
+            assert_eq!(r, Err(SimError::Watchdog { max_cycles }));
+            if max_cycles >= 997 {
+                let instret = m.core().instret;
+                assert!(m.bulk_instrs() > instret / 2, "the loop must run in bulk");
+            }
+        }
+    }
+
+    #[test]
+    fn mid_body_fault_in_a_branch_loop_leaves_exact_state() {
+        // A pointer stream past the 256-byte memory: the lw (op 1 of
+        // the body) faults with a0 already incremented in that pass.
+        let prog = Program::from_instrs(
+            0,
+            vec![
+                addi(Reg::A1, Reg::ZERO, 0x80),
+                addi(Reg::A3, Reg::ZERO, 0x7FF),
+                addi(Reg::A4, Reg::ZERO, 0x10),
+                addi(Reg::A0, Reg::A0, 1),
+                load(LoadOp::Lw, Reg::T0, Reg::A1, 0),
+                Instr::Mac {
+                    rd: Reg::A2,
+                    rs1: Reg::T0,
+                    rs2: Reg::A0,
+                },
+                store(StoreOp::Sw, Reg::A2, Reg::A4, 0),
+                addi(Reg::A1, Reg::A1, 4),
+                branch(BranchOp::Bltu, Reg::A1, Reg::A3, -20),
+                Instr::Ecall,
+            ],
+        );
+        let stage = |m: &mut Machine| {
+            for a in (0..256u32).step_by(4) {
+                m.mem_mut()
+                    .write_u32(a, a.wrapping_mul(0x9E37_79B9))
+                    .unwrap();
+            }
+        };
+        let (m, r) = run_vs_legacy(&prog, stage, 100_000);
+        assert_eq!(
+            r,
+            Err(SimError::MemOutOfBounds {
+                addr: 0x100,
+                size: 4
+            })
+        );
+        assert_eq!(m.core().pc, 16, "PC stays on the faulting lw");
+        assert_eq!(m.core().reg(Reg::A0), 33);
+        let instret = m.core().instret;
+        assert!(m.bulk_instrs() > instret / 2, "the loop must run in bulk");
+    }
+
+    #[test]
+    fn armed_hardware_loop_end_inside_the_body_declines_the_branch_loop() {
+        // Manually configured hardware loop L0 over [0x10, end) around a
+        // software loop with head 0x14 and closing bltu at 0x1c: with
+        // the end on the bltu's fall-through (0x20) the hardware loop
+        // re-enters the software loop at every exit, so a bulk run that
+        // exited straight to 0x20 would skip that jump-back.
+        let prog = |count: u32, end_uimm: u32| {
+            Program::from_instrs(
+                0,
+                vec![
+                    addi(Reg::A2, Reg::ZERO, 5),
+                    Instr::LpCounti {
+                        l: LoopIdx::L0,
+                        uimm: count,
+                    },
+                    Instr::LpStarti {
+                        l: LoopIdx::L0,
+                        uimm: 4,
+                    },
+                    Instr::LpEndi {
+                        l: LoopIdx::L0,
+                        uimm: end_uimm,
+                    },
+                    addi(Reg::A0, Reg::ZERO, 0),
+                    addi(Reg::A0, Reg::A0, 1),
+                    addi(Reg::A1, Reg::A1, 3),
+                    branch(BranchOp::Bltu, Reg::A0, Reg::A2, -8),
+                    Instr::Ecall,
+                ],
+            )
+        };
+        // End on the fall-through: armed for the whole run, never bulk.
+        let (m, r) = run_vs_legacy(&prog(4, 10), |_| {}, 100_000);
+        assert_eq!(r, Ok(ExitReason::Ecall));
+        assert_eq!(m.core().reg(Reg::A1), 4 * 5 * 3);
+        assert_eq!(m.bulk_instrs(), 0, "an armed end inside must decline");
+        // End strictly inside the body (0x18): identical to legacy too.
+        let _ = run_vs_legacy(&prog(4, 6), |_| {}, 100_000);
+        // Control: the same loop with the hardware loop disarmed runs in
+        // bulk.
+        let (m, _) = run_vs_legacy(&prog(0, 10), |_| {}, 100_000);
+        assert_eq!(m.core().reg(Reg::A1), 5 * 3);
+        assert!(m.bulk_instrs() > m.core().instret / 2);
+    }
+
+    #[test]
+    fn guarded_level_a_kernel_matches_the_unguarded_run() {
+        use crate::shortcut::{KernelRegion, ShortcutAct, ShortcutPtr};
+        // The baseline (level a) matvec: accumulator spilled to memory,
+        // `lh, lh, lw, addi, mac, sw, addi, bltu` per MAC, requantize,
+        // clip, store; 3 outputs of 4 inputs.
+        let (w, bias, x, out, spill) = (0x100u32, 0x200u32, 0x300u32, 0x400u32, 0x500u32);
+        let (n_in, n_out) = (4u32, 3u32);
+        let prog = Program::from_instrs(
+            0,
+            vec![
+                addi(Reg::S0, Reg::ZERO, w as i32),
+                addi(Reg::S1, Reg::ZERO, bias as i32),
+                addi(Reg::A4, Reg::ZERO, out as i32),
+                addi(Reg::A5, Reg::ZERO, n_out as i32),
+                addi(Reg::A3, Reg::ZERO, spill as i32),
+                // outer:
+                addi(Reg::A1, Reg::ZERO, x as i32),
+                addi(Reg::A2, Reg::A1, 2 * n_in as i32),
+                load(LoadOp::Lw, Reg::T0, Reg::S1, 0),
+                addi(Reg::S1, Reg::S1, 4),
+                store(StoreOp::Sw, Reg::T0, Reg::A3, 0),
+                // inner:
+                load(LoadOp::Lh, Reg::T1, Reg::S0, 0),
+                load(LoadOp::Lh, Reg::T2, Reg::A1, 0),
+                load(LoadOp::Lw, Reg::T0, Reg::A3, 0),
+                addi(Reg::S0, Reg::S0, 2),
+                Instr::Mac {
+                    rd: Reg::T0,
+                    rs1: Reg::T1,
+                    rs2: Reg::T2,
+                },
+                store(StoreOp::Sw, Reg::T0, Reg::A3, 0),
+                addi(Reg::A1, Reg::A1, 2),
+                branch(BranchOp::Bltu, Reg::A1, Reg::A2, -28),
+                Instr::OpImm {
+                    op: AluImmOp::Srai,
+                    rd: Reg::T0,
+                    rs1: Reg::T0,
+                    imm: 12,
+                },
+                Instr::Clip {
+                    rd: Reg::T0,
+                    rs1: Reg::T0,
+                    bits: 16,
+                },
+                store(StoreOp::Sh, Reg::T0, Reg::A4, 0),
+                addi(Reg::A4, Reg::A4, 2),
+                addi(Reg::A5, Reg::A5, -1),
+                branch(BranchOp::Bne, Reg::A5, Reg::ZERO, -72),
+                Instr::Ecall,
+            ],
+        );
+        let region = KernelRegion {
+            start_addr: 0,
+            end_addr: 96,
+            w_base: w,
+            bias32: bias,
+            x: ShortcutPtr::Const(x),
+            out: ShortcutPtr::Const(out),
+            out_stride: 2,
+            n_in,
+            n_out,
+            act: ShortcutAct::None,
+        };
+        let staged = || {
+            let mut m = Machine::new(4096);
+            for k in 0..n_in * n_out {
+                let v = (k as i32 * 977 - 5000) as i16;
+                m.mem_mut().write_u16(w + 2 * k, v as u16).unwrap();
+            }
+            for j in 0..n_out {
+                let b = (j as i32 - 1) << 12;
+                m.mem_mut().write_u32(bias + 4 * j, b as u32).unwrap();
+            }
+            for k in 0..n_in {
+                let v = (k as i32 * 3001 - 4000) as i16;
+                m.mem_mut().write_u16(x + 2 * k, v as u16).unwrap();
+            }
+            m.load_program(&prog);
+            m
+        };
+        let mut plain = staged();
+        let mut guarded = staged();
+        let spec = GuardSpec::from_region(guarded.mem(), &region).unwrap();
+        guarded.arm_guards(Arc::new(vec![spec]));
+        assert_eq!(plain.run(100_000), Ok(ExitReason::Ecall));
+        assert_eq!(guarded.run(100_000), Ok(ExitReason::Ecall));
+        assert_same_state(&plain, &guarded);
+        let report = guarded.guard_report().unwrap();
+        assert_eq!(report.entries(), 1);
+        assert!(!report.failed(), "a clean run must pass its guard");
+        let instret = plain.core().instret;
+        assert!(
+            plain.bulk_instrs() > instret / 2,
+            "unguarded, loops run in bulk"
+        );
+        assert_eq!(guarded.bulk_instrs(), 0, "guards disable bulk runs");
     }
 
     #[test]

@@ -17,8 +17,17 @@
 //! cost, per-mnemonic retire rows and load-use stall pattern are all
 //! static, so the hardware-loop block runner in `machine.rs` can execute
 //! iterations as a tight data-only host loop and account statistics in
-//! bulk. See `DESIGN.md` § "Micro-op pipeline" for the exact lowering
-//! rules and fallback conditions.
+//! bulk.
+//!
+//! Straight-line stretches outside hardware loops get a [`StraightRun`]
+//! descriptor with the same static profile, executed once per entry.
+//! A backward conditional branch whose body — the ops from its resolved
+//! target up to the branch itself — is straight-line makes that body a
+//! *branch-closed* run: the software loops of the scalar baseline
+//! kernels (`lh, lh, lw, addi, mac, sw, addi, bltu`) then run in bulk
+//! too, repeating passes while the closing branch is taken and stopping
+//! on its fall-through. See `DESIGN.md` § "Micro-op pipeline" for the
+//! exact lowering rules and fallback conditions.
 
 use crate::error::ExitReason;
 use crate::program::Program;
@@ -322,7 +331,8 @@ pub(crate) struct Uop {
     /// entry from the top). [`NO_BODY`] otherwise.
     pub body: u32,
     /// Index of the [`StraightRun`] whose *first op* this is, or
-    /// [`NO_RUN`].
+    /// [`NO_RUN`]. On a branch-closed loop's head this is the loop's
+    /// run, which subsumes the plain run the head would otherwise start.
     pub run: u32,
     /// Index of the installed [`ShortcutRegion`] whose *first op* this
     /// is, or [`NO_SC`].
@@ -378,6 +388,13 @@ pub(crate) struct LoopBody {
 /// no *armed* hardware loop's end address falls on one of the run's
 /// fall-through addresses — a runtime condition checked per entry; the
 /// generic per-op path handles every other case bit-identically.
+///
+/// A *branch-closed* run (`closed`) is a software loop: its last op is a
+/// conditional branch back to its first op, and the runner repeats
+/// passes while that branch is taken. Its profile is that of a taken
+/// pass (the branch row carries the +1 taken cycle); the exit pass,
+/// whose branch falls through to `end_addr`, costs one cycle less. The
+/// branch never loads, so no load-use stall wraps into op 0.
 #[derive(Clone, Debug)]
 pub(crate) struct StraightRun {
     /// Address of the first op.
@@ -390,7 +407,8 @@ pub(crate) struct StraightRun {
     pub len: u32,
     /// Total cycles of one pass: base cycles plus static internal
     /// load-use stalls (the entry stall from a load *before* the run is
-    /// dynamic and charged by the caller).
+    /// dynamic and charged by the caller), plus the taken-branch cycle
+    /// for a branch-closed run. Never zero.
     pub cycles: u64,
     /// Per-mnemonic retire totals: `(id, instrs, cycles, macs)`.
     pub retire_rows: Vec<(MnemonicId, u64, u64, u64)>,
@@ -400,6 +418,9 @@ pub(crate) struct StraightRun {
     /// entering op `j` (`None` for op 0 — there is no wrap-around). Used
     /// for exact accounting of a faulting partial pass.
     pub stall_in: Vec<Option<MnemonicId>>,
+    /// Whether the last op is a conditional branch back to the first op
+    /// (a software loop) rather than a fall-through.
+    pub closed: bool,
 }
 
 /// A [`Program`] lowered to micro-ops — build once with
@@ -487,12 +508,23 @@ impl UopProgram {
             }
         }
 
+        // Branch-closed loops: a backward conditional branch over an
+        // eligible body, marked on the body's first op (the loop head).
+        let mut runs: Vec<StraightRun> = Vec::new();
+        for i in 0..uops.len() {
+            if let Some(run) = recognize_branch_loop(&uops, i) {
+                uops[run.start_idx as usize].run = runs.len() as u32;
+                runs.push(run);
+            }
+        }
+
         // Straight-line runs: maximal sequences of eligible ops, marked
         // on their first op. Loop bodies are a subrange of some run; the
         // run trigger defers to the armed-loop check at execution time.
         // An installed shortcut region's first op ends the preceding run:
-        // bulking across it would skip the shortcut trigger.
-        let mut runs: Vec<StraightRun> = Vec::new();
+        // bulking across it would skip the shortcut trigger. A run that
+        // would start on a loop head is exactly that loop's body minus
+        // its branch, so the loop's run replaces it.
         let mut i = 0usize;
         while i < uops.len() {
             if !body_eligible(&uops[i].kind) {
@@ -505,7 +537,7 @@ impl UopProgram {
                 i += 1;
             }
             let len = i - start;
-            if len < MIN_RUN_LEN {
+            if len < MIN_RUN_LEN || uops[start].run != NO_RUN {
                 continue;
             }
             let (retire_rows, stall_rows, stall_in, cycles) = aggregate(&uops[start..i], false);
@@ -520,6 +552,7 @@ impl UopProgram {
                 retire_rows,
                 stall_rows,
                 stall_in,
+                closed: false,
             });
         }
         Self {
@@ -545,9 +578,16 @@ impl UopProgram {
         self.bodies.len()
     }
 
-    /// Number of straight-line runs the translator specialized.
+    /// Number of straight-line runs the translator specialized
+    /// (branch-closed loops not included).
     pub fn straight_runs(&self) -> usize {
-        self.runs.len()
+        self.runs.iter().filter(|r| !r.closed).count()
+    }
+
+    /// Number of branch-closed software loops the translator
+    /// specialized.
+    pub fn branch_loops(&self) -> usize {
+        self.runs.iter().filter(|r| r.closed).count()
     }
 
     /// Number of kernel-shortcut regions verified and installed by
@@ -624,6 +664,45 @@ fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Opti
         stall_rows,
         stall_in,
         next: NO_BODY,
+    })
+}
+
+/// Builds the branch-closed run for the op at `branch`, or `None` when
+/// it does not close a specializable software loop: the op is not a
+/// conditional branch, its target does not map to an instruction at or
+/// before it, an op from the target up to the branch fails
+/// [`body_eligible`], or an installed shortcut region starts inside the
+/// body (bulking over it would skip the shortcut trigger; one starting
+/// on the head itself is tried first and stays reachable).
+fn recognize_branch_loop(uops: &[Uop], branch: usize) -> Option<StraightRun> {
+    let UopKind::Branch { target, .. } = uops[branch].kind else {
+        return None;
+    };
+    let head = target.idx as usize;
+    if target.idx == NO_IDX || head > branch {
+        return None;
+    }
+    let body = &uops[head..=branch];
+    let (last, ops) = body.split_last()?;
+    if !ops.iter().all(|u| body_eligible(&u.kind)) || body[1..].iter().any(|u| u.shortcut != NO_SC)
+    {
+        return None;
+    }
+    let (mut retire_rows, stall_rows, stall_in, cycles) = aggregate(body, false);
+    // A taken pass pays the branch's redirect cycle; the branch is the
+    // only op of its mnemonic in the body, so the row is its own.
+    let row = retire_rows.iter_mut().find(|r| r.0 == last.id)?;
+    row.2 += 1;
+    Some(StraightRun {
+        start_addr: target.addr,
+        end_addr: last.next_addr,
+        start_idx: target.idx,
+        len: body.len() as u32,
+        cycles: cycles + 1,
+        retire_rows,
+        stall_rows,
+        stall_in,
+        closed: true,
     })
 }
 
@@ -1183,6 +1262,185 @@ mod tests {
         );
         let t = UopProgram::translate(&prog);
         assert_eq!(t.loop_bodies(), 0);
+    }
+
+    fn branch(op: BranchOp, rs1: Reg, rs2: Reg, offset: i32) -> Instr {
+        Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        }
+    }
+
+    /// The level-a MAC loop: `lh, lh, lw, addi, mac, sw, addi, bltu`,
+    /// behind two setup ops and followed by `ecall`.
+    fn baseline_mac_loop() -> Program {
+        let lh = |rd, rs1| Instr::Load {
+            op: LoadOp::Lh,
+            rd,
+            rs1,
+            offset: 0,
+        };
+        Program::from_instrs(
+            0,
+            [
+                addi(Reg::A1, Reg::ZERO, 0x100),
+                addi(Reg::A2, Reg::A1, 16),
+                lh(Reg::T1, Reg::S0),
+                lh(Reg::T2, Reg::A1),
+                Instr::Load {
+                    op: LoadOp::Lw,
+                    rd: Reg::T0,
+                    rs1: Reg::A3,
+                    offset: 0,
+                },
+                addi(Reg::S0, Reg::S0, 2),
+                Instr::Mac {
+                    rd: Reg::T0,
+                    rs1: Reg::T1,
+                    rs2: Reg::T2,
+                },
+                Instr::Store {
+                    op: StoreOp::Sw,
+                    rs2: Reg::T0,
+                    rs1: Reg::A3,
+                    offset: 0,
+                },
+                addi(Reg::A1, Reg::A1, 2),
+                branch(BranchOp::Bltu, Reg::A1, Reg::A2, -28),
+                Instr::Ecall,
+            ],
+        )
+    }
+
+    #[test]
+    fn branch_closed_loop_is_recognized_at_its_head() {
+        let t = UopProgram::translate(&baseline_mac_loop());
+        assert_eq!(t.branch_loops(), 1);
+        let ri = t.uops[2].run;
+        assert_ne!(ri, NO_RUN, "the loop head carries the loop");
+        let r = &t.runs[ri as usize];
+        assert!(r.closed);
+        assert_eq!((r.start_idx, r.len), (2, 8));
+        assert_eq!((r.start_addr, r.end_addr), (8, 40));
+        // Eight single-cycle ops, no load-use stall (the addi between
+        // the loads and the mac breaks the pair), plus the taken cycle.
+        assert_eq!(r.cycles, 9);
+        assert!(r.stall_in.iter().all(Option::is_none));
+        let bltu = MnemonicId::from_name("bltu").unwrap();
+        let row = r.retire_rows.iter().find(|row| row.0 == bltu).unwrap();
+        assert_eq!(*row, (bltu, 1, 2, 0));
+        let mac = MnemonicId::from_name("p.mac").unwrap();
+        assert!(r.retire_rows.contains(&(mac, 1, 1, 1)));
+        // The setup ops start a plain run covering the head; it stays.
+        assert_eq!(t.straight_runs(), 1);
+        assert_eq!(t.runs[t.uops[0].run as usize].len, 9);
+    }
+
+    #[test]
+    fn load_feeding_the_closing_branch_stalls_statically() {
+        // head: addi a1, a1, 4; lw t0, 0(a1); bne t0, zero, head.
+        let prog = Program::from_instrs(
+            0,
+            [
+                addi(Reg::A1, Reg::A1, 4),
+                Instr::Load {
+                    op: LoadOp::Lw,
+                    rd: Reg::T0,
+                    rs1: Reg::A1,
+                    offset: 0,
+                },
+                branch(BranchOp::Bne, Reg::T0, Reg::ZERO, -8),
+                Instr::Ecall,
+            ],
+        );
+        let t = UopProgram::translate(&prog);
+        let r = &t.runs[t.uops[0].run as usize];
+        assert!(r.closed);
+        let lw = MnemonicId::from_name("lw").unwrap();
+        assert_eq!(r.stall_in, vec![None, None, Some(lw)]);
+        assert_eq!(r.stall_rows, vec![(lw, 1)]);
+        // 3 base + 1 stall + 1 taken.
+        assert_eq!(r.cycles, 5);
+        // A head that would start a plain run gets the loop instead.
+        assert_eq!(t.straight_runs(), 0);
+    }
+
+    #[test]
+    fn self_loop_branch_is_a_one_op_body() {
+        let prog = Program::from_instrs(
+            0,
+            [branch(BranchOp::Bgeu, Reg::A0, Reg::ZERO, 0), Instr::Ecall],
+        );
+        let t = UopProgram::translate(&prog);
+        assert_eq!(t.branch_loops(), 1);
+        let r = &t.runs[t.uops[0].run as usize];
+        assert_eq!((r.start_idx, r.len, r.cycles), (0, 1, 2));
+    }
+
+    #[test]
+    fn forward_or_unresolved_branches_close_no_loop() {
+        let body = || addi(Reg::A0, Reg::A0, 1);
+        for offset in [
+            8,   // forward
+            -2,  // into the middle of the previous instruction
+            -64, // before the program: unmapped
+        ] {
+            let prog = Program::from_instrs(
+                0,
+                [
+                    body(),
+                    branch(BranchOp::Bne, Reg::A0, Reg::A1, offset),
+                    body(),
+                    Instr::Ecall,
+                ],
+            );
+            let t = UopProgram::translate(&prog);
+            assert_eq!(t.branch_loops(), 0, "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn ineligible_op_in_body_closes_no_loop() {
+        let poisons = [
+            Instr::Jal {
+                rd: Reg::ZERO,
+                offset: 4,
+            },
+            Instr::Csr {
+                op: CsrOp::Csrrs,
+                rd: Reg::A2,
+                rs1: Reg::ZERO,
+                csr: Csr::Minstret,
+            },
+            Instr::LpSetupi {
+                l: LoopIdx::L0,
+                count: 2,
+                uimm: 4,
+            },
+            Instr::LpCounti {
+                l: LoopIdx::L1,
+                uimm: 3,
+            },
+            // An inner branch: the outer body is not straight-line.
+            branch(BranchOp::Beq, Reg::ZERO, Reg::A0, 4),
+        ];
+        for poison in poisons {
+            let prog = Program::from_instrs(
+                0,
+                [
+                    addi(Reg::A0, Reg::A0, 1),
+                    poison,
+                    addi(Reg::A1, Reg::A1, 1),
+                    branch(BranchOp::Blt, Reg::A0, Reg::A2, -12),
+                    Instr::Ecall,
+                ],
+            );
+            let t = UopProgram::translate(&prog);
+            let outer = t.runs.iter().any(|r| r.closed && r.start_idx == 0);
+            assert!(!outer, "{poison:?} must block the loop");
+        }
     }
 
     #[test]

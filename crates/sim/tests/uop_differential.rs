@@ -6,10 +6,14 @@
 //! where the two paths genuinely diverge in mechanism: hardware loops
 //! (specializable straight-line bodies, nested loops sharing an end
 //! address, bodies with control flow or CSR reads that must fall back),
-//! post-increment load/store streams, `pl.sdotsp` SPR pipelines, taken
-//! and untaken branches, `jalr`, serial divides, and pointer streams
-//! that eventually fault mid-loop. Every seed is run under several cycle
-//! budgets so the watchdog fires inside bulk loop runs too.
+//! software loops closed by a backward branch (counter and
+//! pointer-compare loops, a load feeding the branch, trip count 1,
+//! never-exiting loops, poisoned bodies, a hardware loop ending on the
+//! loop's exit), post-increment load/store streams, `pl.sdotsp` SPR
+//! pipelines, taken and untaken branches, `jalr`, serial divides, and
+//! pointer streams that eventually fault mid-loop. Every seed is run
+//! under several cycle budgets so the watchdog fires inside bulk loop
+//! runs too.
 //!
 //! After both paths run the same program on identically staged machines,
 //! *everything observable* must match: the `Result`, all 32 registers,
@@ -209,8 +213,153 @@ impl Gen {
         }
     }
 
+    /// A software loop closed by a backward conditional branch over a
+    /// straight body of generated instructions. `T2`/`T3` (outside the
+    /// general pool) hold the counter and bound, so body ops cannot
+    /// disturb the trip count.
+    fn emit_branch_loop(&mut self, out: &mut Vec<Instr>) {
+        let trips = 1 + self.u(12) as i32;
+        let body_len = self.u(4);
+        let poison = self.u(6) == 0;
+        // Sometimes run it inside a hardware loop whose end is the
+        // branch's fall-through: armed, that end must keep the loop off
+        // the bulk runner.
+        let in_hwloop = self.u(8) == 0;
+        let setup_at = out.len();
+        if in_hwloop {
+            out.push(Instr::LpSetupi {
+                l: LoopIdx::L1,
+                count: 1 + self.u(3),
+                uimm: 0, // patched below
+            });
+        }
+        let form = self.u(5);
+        // Set-up and the body's tail: (bound-setting ops, tail ops,
+        // closing branch op, rs1, rs2).
+        let (setup, tail, op, rs1, rs2): (Vec<Instr>, Vec<Instr>, BranchOp, Reg, Reg) = match form {
+            // Down-counter: bne / blt on the counter.
+            0 => (
+                vec![self.addi(Reg::T2, Reg::ZERO, trips)],
+                vec![self.addi(Reg::T2, Reg::T2, -1)],
+                if self.u(2) == 0 {
+                    BranchOp::Bne
+                } else {
+                    BranchOp::Blt
+                },
+                if self.u(2) == 0 { Reg::T2 } else { Reg::ZERO },
+                if self.u(2) == 0 { Reg::ZERO } else { Reg::T2 },
+            ),
+            // Up-counter against a bound: bltu t2, t3.
+            1 => (
+                vec![
+                    self.addi(Reg::T2, Reg::ZERO, 0),
+                    self.addi(Reg::T3, Reg::ZERO, trips),
+                ],
+                vec![self.addi(Reg::T2, Reg::T2, 1)],
+                BranchOp::Bltu,
+                Reg::T2,
+                Reg::T3,
+            ),
+            // Pointer compare on the load stream: bltu / bne / bgeu
+            // against an end pointer. Body loads may advance the pointer
+            // further, overshooting a `bne` bound into a runaway stream
+            // that faults out of bounds.
+            2 => {
+                let (op, rs1, rs2, end) = match self.u(3) {
+                    0 => (BranchOp::Bltu, PTR_LOAD, Reg::T3, 4 * trips),
+                    1 => (BranchOp::Bne, PTR_LOAD, Reg::T3, 4 * trips),
+                    _ => (BranchOp::Bgeu, Reg::T3, PTR_LOAD, 4 * (trips - 1)),
+                };
+                (
+                    vec![self.addi(Reg::T3, PTR_LOAD, end)],
+                    vec![Instr::LoadPostInc {
+                        op: LoadOp::Lw,
+                        rd: self.reg(),
+                        rs1: PTR_LOAD,
+                        offset: 4,
+                    }],
+                    op,
+                    rs1,
+                    rs2,
+                )
+            }
+            // The counter stored and reloaded: the load feeds the
+            // branch (a static load-use stall on the closing op).
+            3 => (
+                vec![self.addi(Reg::T2, Reg::ZERO, trips)],
+                vec![
+                    self.addi(Reg::T2, Reg::T2, -1),
+                    Instr::Store {
+                        op: StoreOp::Sw,
+                        rs2: Reg::T2,
+                        rs1: PTR_STORE,
+                        offset: 0,
+                    },
+                    Instr::Load {
+                        op: LoadOp::Lw,
+                        rd: Reg::T4,
+                        rs1: PTR_STORE,
+                        offset: 0,
+                    },
+                ],
+                BranchOp::Bne,
+                Reg::T4,
+                Reg::ZERO,
+            ),
+            // Never exits (`bgeu x, zero` is always taken): the run ends
+            // on the watchdog or a runaway stream's fault.
+            _ => (
+                Vec::new(),
+                Vec::new(),
+                BranchOp::Bgeu,
+                self.reg(),
+                Reg::ZERO,
+            ),
+        };
+        out.extend(setup);
+        let head = out.len();
+        for k in 0..body_len {
+            if poison && k == body_len / 2 {
+                // A CSR read or an inner (never-taken) branch keeps the
+                // body off the branch-closed runner.
+                out.push(if self.u(2) == 0 {
+                    Instr::Csr {
+                        op: CsrOp::Csrrs,
+                        rd: self.reg(),
+                        rs1: Reg::ZERO,
+                        csr: Csr::Minstret,
+                    }
+                } else {
+                    Instr::Branch {
+                        op: BranchOp::Bne,
+                        rs1: Reg::ZERO,
+                        rs2: Reg::ZERO,
+                        offset: 4,
+                    }
+                });
+            } else {
+                out.push(self.body_instr());
+            }
+        }
+        out.extend(tail);
+        let offset = -4 * (out.len() - head) as i32;
+        out.push(Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        });
+        if in_hwloop {
+            // lp.setupi's end is `pc + 2 * uimm`: the branch fall-through.
+            let uimm = 2 * (out.len() - setup_at) as u32;
+            if let Instr::LpSetupi { uimm: u, .. } = &mut out[setup_at] {
+                *u = uimm;
+            }
+        }
+    }
+
     fn emit_chunk(&mut self, out: &mut Vec<Instr>) {
-        match self.u(10) {
+        match self.u(13) {
             0..=1 => {
                 for _ in 0..=self.u(3) {
                     let i = self.body_instr();
@@ -234,6 +383,7 @@ impl Gen {
                 }
             }
             3..=5 => self.emit_loop(out),
+            9..=11 => self.emit_branch_loop(out),
             6 => {
                 // pl.sdotsp stream with a spacer, the paper's idiom.
                 for _ in 0..2 + self.u(3) {
@@ -561,5 +711,25 @@ fn specialized_loops_are_actually_exercised() {
     assert!(
         specialized >= 50,
         "only {specialized} specialized loop bodies across 100 seeds"
+    );
+}
+
+#[test]
+fn branch_closed_loops_are_actually_exercised() {
+    // Same guard for the software-loop chunk: branch-closed runs must
+    // keep installing, or the differential stops covering that runner.
+    let mut installed = 0usize;
+    for seed in 0..100u64 {
+        let mut g = Gen {
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let prog = g.program();
+        let mut m = Machine::new(MEM_BYTES);
+        m.load_program(&prog);
+        installed += usize::from(m.uop_program().branch_loops() > 0);
+    }
+    assert!(
+        installed >= 50,
+        "branch-closed loops installed on only {installed} of 100 seeds"
     );
 }
