@@ -9,8 +9,8 @@ use crate::program::Program;
 use crate::shortcut::{read_load, ExitVal, ShortcutRegion};
 use crate::stats::Stats;
 use crate::uop::{
-    Target, UnaryOp, Uop, UopKind, UopProgram, DIV_EXTRA_CYCLES, MULH_EXTRA_CYCLES, NO_BODY,
-    NO_IDX, NO_RUN, NO_SC,
+    DotLoop, DotStream, Target, UnaryOp, Uop, UopKind, UopProgram, DIV_EXTRA_CYCLES,
+    MULH_EXTRA_CYCLES, NO_BODY, NO_IDX, NO_RUN, NO_SC,
 };
 use rnnasip_isa::{
     AluImmOp, AluOp, BranchOp, Csr, CsrOp, DotOp, Instr, LoadOp, MnemonicId, MulDivOp, PvAluOp,
@@ -63,6 +63,34 @@ enum BulkEnd {
     Fault(usize, SimError),
 }
 
+/// What a kernel-shortcut entry computes before committing any state:
+/// the region's outputs and its resolved exit-live values.
+#[derive(Debug, Default)]
+struct ShortcutScratch {
+    /// Region outputs, in output order.
+    outs: Vec<i32>,
+    /// Final values of the exit-live registers.
+    regs: Vec<(Reg, u32)>,
+    /// SPR writes still in flight at the exit, keyed to absolute
+    /// `instret`.
+    pend: Vec<(u64, usize, u32)>,
+}
+
+/// The result of a dot-product loop's passes ([`Machine::dot_reduce`]),
+/// computed before any state changes.
+struct DotReduction {
+    /// Passes run, the exit pass included.
+    passes: u64,
+    /// Whether the closing branch fell through on the last pass.
+    exited: bool,
+    /// Final accumulator.
+    acc: u32,
+    /// Each stream's last loaded value.
+    last: [u32; 2],
+    /// The spill word's address, when the accumulator is spilled.
+    spill_addr: Option<u32>,
+}
+
 /// Upper bound on the cycles one [`Machine::step`] can consume, used by
 /// [`Machine::run`] to size watchdog-check-free blocks.
 ///
@@ -103,9 +131,9 @@ pub struct Machine {
     /// (the native execution tier), for coverage diagnostics. One
     /// addition per region entry, not per op.
     shortcut_instrs: u64,
-    /// Scratch buffer for shortcut-region outputs, kept across entries
+    /// Scratch buffers for shortcut-region entries, kept across entries
     /// to avoid per-entry allocation.
-    shortcut_outs: Vec<i32>,
+    shortcut_scratch: ShortcutScratch,
     /// Scheduled faults not yet applied, in `at_instret` order.
     armed_faults: VecDeque<Fault>,
     /// Forced watchdog budget from the armed [`FaultPlan`], capping the
@@ -145,7 +173,7 @@ impl Machine {
             halted: None,
             bulk_instrs: 0,
             shortcut_instrs: 0,
-            shortcut_outs: Vec::new(),
+            shortcut_scratch: ShortcutScratch::default(),
             armed_faults: VecDeque::new(),
             forced_watchdog: None,
             fault_log: Vec::new(),
@@ -820,31 +848,32 @@ impl Machine {
         let Some((x_base, out_base)) = sc.check_entry(&self.mem) else {
             return Ok(false);
         };
-        let mut outs = std::mem::take(&mut self.shortcut_outs);
-        outs.clear();
-        if !sc.compute(&self.mem, x_base, &mut outs) {
-            self.shortcut_outs = outs;
-            return Ok(false);
-        }
-        // Resolve every exit value before mutating any state, so a
-        // failure here still declines cleanly to the interpreted path.
-        // Exit-value loads re-read operand memory the region read; the
-        // admission check proved those ranges store-disjoint, so the
-        // values are entry-time values regardless of commit order.
+        let mut scratch = std::mem::take(&mut self.shortcut_scratch);
         let entry_instret = self.core.instret;
-        let Some((reg_vals, spr_vals, pend_vals)) = self.resolve_exit(sc, &outs, entry_instret)
-        else {
-            self.shortcut_outs = outs;
+        // Compute the outputs and resolve every exit value before
+        // mutating any state, so a failure here still declines cleanly
+        // to the interpreted path. Exit-value loads re-read operand
+        // memory the region read; the admission check proved those
+        // ranges store-disjoint, so the values are entry-time values
+        // regardless of commit order.
+        scratch.outs.clear();
+        let spr_vals = if sc.compute(&self.mem, x_base, &mut scratch.outs) {
+            self.resolve_exit(sc, entry_instret, &mut scratch)
+        } else {
+            None
+        };
+        let Some(spr_vals) = spr_vals else {
+            self.shortcut_scratch = scratch;
             return Ok(false);
         };
 
-        for (k, &v) in outs.iter().enumerate() {
+        for (k, &v) in scratch.outs.iter().enumerate() {
             let addr = out_base.wrapping_add(k as u32 * sc.desc.out_stride);
             self.mem
                 .write_u16(addr, v as u16)
                 .expect("shortcut output range was admission-checked");
         }
-        for (r, v) in reg_vals {
+        for &(r, v) in &scratch.regs {
             self.core.set_reg(r, v);
         }
         for (s, v) in spr_vals.into_iter().enumerate() {
@@ -852,9 +881,7 @@ impl Machine {
                 self.core.spr[s] = v;
             }
         }
-        for e in pend_vals {
-            self.spr_pending.push_back(e);
-        }
+        self.spr_pending.extend(scratch.pend.iter().copied());
         for (l, h) in sc.exit_hwloop.iter().enumerate() {
             if let Some(h) = h {
                 self.core.hwloop[l] = HwLoop {
@@ -878,29 +905,30 @@ impl Machine {
         }
         self.core.pc = sc.desc.end_addr;
         *idx = sc.end_idx;
-        self.shortcut_outs = outs;
+        self.shortcut_scratch = scratch;
         Ok(true)
     }
 
     /// Resolves a shortcut region's exit-live values against current
-    /// memory: final register values, final SPR slot contents, and the
-    /// still-in-flight SPR writes (re-keyed to absolute `instret`).
-    #[allow(clippy::type_complexity)]
+    /// memory and the outputs in `scratch.outs`: final register values
+    /// into `scratch.regs`, still-in-flight SPR writes (re-keyed to
+    /// absolute `instret`) into `scratch.pend`, and the final SPR slot
+    /// contents as the result. `None` when a value cannot be resolved.
     fn resolve_exit(
         &self,
         sc: &ShortcutRegion,
-        outs: &[i32],
         entry_instret: u64,
-    ) -> Option<(Vec<(Reg, u32)>, [Option<u32>; 2], Vec<(u64, usize, u32)>)> {
-        let mut reg_vals = Vec::with_capacity(sc.exit_regs.len());
+        scratch: &mut ShortcutScratch,
+    ) -> Option<[Option<u32>; 2]> {
+        scratch.regs.clear();
         for &(r, ev) in &sc.exit_regs {
             let v = match ev {
                 ExitVal::Const(v) => v,
                 ExitVal::CellAdd { cell, off } => self.mem.read_u32(cell).ok()?.wrapping_add(off),
                 ExitVal::Load { op, addr } => read_load(&self.mem, op, addr.resolve(&self.mem)?)?,
-                ExitVal::Out(k) => outs[k as usize] as u32,
+                ExitVal::Out(k) => scratch.outs[k as usize] as u32,
             };
-            reg_vals.push((Reg::from_bits(u32::from(r)), v));
+            scratch.regs.push((Reg::from_bits(u32::from(r)), v));
         }
         let mut spr_vals = [None, None];
         for (s, a) in sc.exit_spr.iter().enumerate() {
@@ -908,12 +936,12 @@ impl Machine {
                 spr_vals[s] = Some(self.mem.read_u32(a.resolve(&self.mem)?).ok()?);
             }
         }
-        let mut pend_vals = Vec::with_capacity(sc.exit_pending.len());
+        scratch.pend.clear();
         for &(rel, slot, a) in &sc.exit_pending {
             let v = self.mem.read_u32(a.resolve(&self.mem)?).ok()?;
-            pend_vals.push((entry_instret + rel, slot, v));
+            scratch.pend.push((entry_instret + rel, slot, v));
         }
-        Some((reg_vals, spr_vals, pend_vals))
+        Some(spr_vals)
     }
 
     /// Attempts a bulk run of the specialized loop body chain starting at
@@ -990,7 +1018,10 @@ impl Machine {
         }
 
         let slice = &uops.uops[body.start_idx as usize..(body.start_idx + body.len) as usize];
-        let (done, end) = self.exec_bulk(slice, iters);
+        let (done, end) = match &body.dot {
+            Some(dot) => self.exec_dot(slice, dot, iters),
+            None => self.exec_bulk(slice, iters),
+        };
 
         // Bulk-account the completed iterations: cycles, loop count and
         // one row update per mnemonic. PC stays at the body start — every
@@ -1103,7 +1134,10 @@ impl Machine {
         }
 
         let slice = &uops.uops[run.start_idx as usize..(run.start_idx + run.len) as usize];
-        let (done, end) = self.exec_bulk(slice, iters);
+        let (done, end) = match &run.dot {
+            Some(dot) => self.exec_dot(slice, dot, iters),
+            None => self.exec_bulk(slice, iters),
+        };
 
         // One row update per mnemonic for every whole pass, the exit pass
         // included; its closing branch fell through, one cycle short.
@@ -1217,7 +1251,7 @@ impl Machine {
                                 sum as u32
                             }
                         };
-                        debug_assert_eq!(dot, exec_dot(DotOp::SdotSp, size, w, x));
+                        debug_assert_eq!(dot, dot_lanes(DotOp::SdotSp, size, w, x));
                         let acc = self.core.reg(rd).wrapping_add(dot);
                         let addr = self.core.reg(rs1);
                         match self.mem.read_u32(addr) {
@@ -1268,6 +1302,121 @@ impl Machine {
             self.spr_pending.push_back(e);
         }
         (done, end)
+    }
+
+    /// Executes up to `iters` passes of the dot-product loop `slice`
+    /// (roles `dot`) as one host reduction over its two memory streams.
+    /// Same contract as [`exec_bulk`](Self::exec_bulk) — data semantics
+    /// and `instret` only, the completed passes and how the pass loop
+    /// stopped — to which it declines whenever an entry check of
+    /// [`dot_reduce`](Self::dot_reduce) fails, keeping exact fault
+    /// unwinding there.
+    ///
+    /// The checks prove no op of the passes can fault, so the passes
+    /// reduce to: the accumulator read once and written once (through
+    /// the spill word too, marking its block dirty), each load
+    /// destination left holding its last loaded value, and each advanced
+    /// register moved by its per-pass advance times the passes.
+    fn exec_dot(&mut self, slice: &[Uop], dot: &DotLoop, iters: u64) -> (u64, BulkEnd) {
+        let Some(r) = self.dot_reduce(dot, iters) else {
+            return self.exec_bulk(slice, iters);
+        };
+        if let Some(addr) = r.spill_addr {
+            self.mem
+                .write_u32(addr, r.acc)
+                .expect("spill word was entry-checked");
+        }
+        self.core.set_reg(dot.acc, r.acc);
+        for (s, v) in dot.streams.iter().zip(r.last) {
+            self.core.set_reg(s.rd, v);
+        }
+        for &(reg, stride) in &dot.advanced {
+            let v = self.core.reg(reg);
+            self.core
+                .set_reg(reg, v.wrapping_add(stride.wrapping_mul(r.passes as u32)));
+        }
+        self.core.instret += r.passes * slice.len() as u64;
+        if r.exited {
+            (r.passes - 1, BulkEnd::Exit)
+        } else {
+            (r.passes, BulkEnd::Passes)
+        }
+    }
+
+    /// The read-only half of [`exec_dot`](Self::exec_dot): runs the entry
+    /// checks and, when they all hold, reduces the passes. `None`
+    /// declines:
+    ///
+    /// 1. an SPR write is in flight (it would land mid-loop);
+    /// 2. for a software loop, stepping the closing branch on its
+    ///    advanced register finds no exit within the passes both streams
+    ///    could stay inside memory, while the budget cap `iters` allows
+    ///    more (a hardware loop runs exactly `iters` passes);
+    /// 3. a stream's byte range for those passes is out of bounds or its
+    ///    first access misaligned (each stream advances by its access
+    ///    width, so every later access is aligned too);
+    /// 4. the spill word is out of bounds, misaligned, or overlaps a
+    ///    stream (its stores would change streamed values).
+    fn dot_reduce(&self, dot: &DotLoop, iters: u64) -> Option<DotReduction> {
+        if !self.spr_pending.is_empty() {
+            return None;
+        }
+        // Both streams load the product's element: a halfword for `mac`,
+        // a word for `pv.sdotsp.h`.
+        let width = dot.streams[0].op.size();
+        let (passes, exited) = match dot.exit {
+            None => (iters, false),
+            Some(x) => {
+                let cap = iters.min(self.mem.size() as u64 / u64::from(width));
+                let (v, bound) = (self.core.reg(x.var), self.core.reg(x.bound));
+                match exit_pass(x.op, x.var_is_rs1, v, x.stride, bound, cap) {
+                    Some(n) => (n, true),
+                    None if cap == iters => (cap, false),
+                    None => return None,
+                }
+            }
+        };
+        if passes == 0 {
+            return None;
+        }
+        let len = usize::try_from(passes.checked_mul(u64::from(width))?).ok()?;
+        // Each stream's first address and its bytes over the passes.
+        let stream = |s: &DotStream| -> Option<(u32, &[u8])> {
+            let first = self.core.reg(s.ptr).wrapping_add(s.offset);
+            if !first.is_multiple_of(width) {
+                return None;
+            }
+            Some((first, self.mem.byte_slice(first, len).ok()?))
+        };
+        let [(first_a, xa), (first_b, xb)] = [stream(&dot.streams[0])?, stream(&dot.streams[1])?];
+        let (spill_addr, acc) = match dot.spill {
+            None => (None, self.core.reg(dot.acc)),
+            Some((base, off)) => {
+                let addr = self.core.reg(base).wrapping_add(off);
+                let v = self.mem.read_u32(addr).ok()?;
+                let (a, n) = (u64::from(addr), len as u64);
+                let overlaps = |first: u32| a < u64::from(first) + n && u64::from(first) < a + 4;
+                if overlaps(first_a) || overlaps(first_b) {
+                    return None;
+                }
+                (Some(addr), v)
+            }
+        };
+        // Both kernels' shapes are one signed halfword dot product over
+        // the streams' bytes.
+        let tail = (len - width as usize) as u32;
+        let [sa, sb] = &dot.streams;
+        let last = [
+            read_load(&self.mem, sa.op, first_a + tail)?,
+            read_load(&self.mem, sb.op, first_b + tail)?,
+        ];
+        Some(DotReduction {
+            passes,
+            exited,
+            acc: acc.wrapping_add(dot_i16(xa, xb)),
+            last,
+            spill_addr,
+        })
     }
 
     /// Executes one instruction.
@@ -1653,7 +1802,7 @@ impl Machine {
             } => {
                 let a = self.core.reg(rs1);
                 let b = self.core.reg(rs2);
-                let dot = exec_dot(op, size, a, b);
+                let dot = dot_lanes(op, size, a, b);
                 let v = if op.accumulates() {
                     self.core.reg(rd).wrapping_add(dot)
                 } else {
@@ -1671,7 +1820,7 @@ impl Machine {
                 // MAC with the weight currently in SPR[spr]...
                 let w = self.core.spr[spr as usize & 1];
                 let x = self.core.reg(rs2);
-                let dot = exec_dot(DotOp::SdotSp, size, w, x);
+                let dot = dot_lanes(DotOp::SdotSp, size, w, x);
                 let acc = self.core.reg(rd).wrapping_add(dot);
                 // ...while the LSU fetches the next weight into the same
                 // SPR (visible two instructions later) and post-increments
@@ -2053,7 +2202,7 @@ impl Machine {
             } => {
                 let a = self.core.reg(rs1);
                 let b = self.core.reg(rs2);
-                let dot = exec_dot(op, size, a, b);
+                let dot = dot_lanes(op, size, a, b);
                 let v = if op.accumulates() {
                     self.core.reg(rd).wrapping_add(dot)
                 } else {
@@ -2074,7 +2223,7 @@ impl Machine {
                 // pointer. `spr` was masked to 0/1 at translation.
                 let w = self.core.spr[spr as usize];
                 let x = self.core.reg(rs2);
-                let dot = exec_dot(DotOp::SdotSp, size, w, x);
+                let dot = dot_lanes(DotOp::SdotSp, size, w, x);
                 let acc = self.core.reg(rd).wrapping_add(dot);
                 let addr = self.core.reg(rs1);
                 let value = self.mem.read_u32(addr)?;
@@ -2158,6 +2307,37 @@ fn pending_after(u: &Uop) -> Option<(Reg, MnemonicId)> {
     (u.load_rd != 0).then(|| (Reg::from_bits(u32::from(u.load_rd)), u.id))
 }
 
+/// The 1-based pass, within the first `cap`, whose closing branch
+/// `op` falls through — the branch compares `var` (entry value `v`,
+/// advanced by `stride` each pass, before the branch) with `bound` —
+/// or `None` when it is taken on all of them.
+fn exit_pass(
+    op: BranchOp,
+    var_is_rs1: bool,
+    mut v: u32,
+    stride: u32,
+    bound: u32,
+    cap: u64,
+) -> Option<u64> {
+    (1..=cap).find(|_| {
+        v = v.wrapping_add(stride);
+        let (a, b) = if var_is_rs1 { (v, bound) } else { (bound, v) };
+        !branch_taken(op, a, b)
+    })
+}
+
+/// Wrapping sum of the products of two equally long little-endian
+/// signed halfword arrays (each product fits in `i32`).
+fn dot_i16(a: &[u8], b: &[u8]) -> u32 {
+    a.chunks_exact(2)
+        .zip(b.chunks_exact(2))
+        .fold(0i32, |sum, (x, y)| {
+            let p = i32::from(i16::from_le_bytes([x[0], x[1]]))
+                * i32::from(i16::from_le_bytes([y[0], y[1]]));
+            sum.wrapping_add(p)
+        }) as u32
+}
+
 /// Conditional-branch outcome for operands `a` (`rs1`) and `b` (`rs2`).
 #[inline]
 fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
@@ -2230,7 +2410,7 @@ fn pv_lane_op_b(op: PvAluOp, a: i8, b: i8) -> i8 {
 }
 
 /// Dot-product semantics: the *fresh* dot value, before any accumulation.
-pub(crate) fn exec_dot(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
+pub(crate) fn dot_lanes(op: DotOp, size: SimdSize, a: u32, b: u32) -> u32 {
     let (sign_a, sign_b) = match op {
         DotOp::DotUp | DotOp::SdotUp => (false, false),
         DotOp::DotUsp | DotOp::SdotUsp => (false, true),
@@ -2536,7 +2716,7 @@ mod tests {
         // pv.sdotsp.h: acc += a0*b0 + a1*b1 with signed lanes.
         let a = ((-3i16 as u16 as u32) << 16) | (2i16 as u16 as u32);
         let b = ((5i16 as u16 as u32) << 16) | (7i16 as u16 as u32);
-        let dot = exec_dot(DotOp::SdotSp, SimdSize::Half, a, b);
+        let dot = dot_lanes(DotOp::SdotSp, SimdSize::Half, a, b);
         assert_eq!(dot as i32, 2 * 7 + (-3) * 5);
     }
 
@@ -2898,6 +3078,252 @@ mod tests {
             "unguarded, loops run in bulk"
         );
         assert_eq!(guarded.bulk_instrs(), 0, "guards disable bulk runs");
+    }
+
+    /// The level-a MAC loop over `n` halfword pairs (weights at `w`,
+    /// inputs at `x`, accumulator spilled at `spill`), its head at
+    /// index 4 (0x10): `lh, lh, lw, addi, mac, sw, addi, bltu`, 9 cycles
+    /// per taken pass. `head` goes in front of the loop head.
+    fn level_a_dot(w: u32, x: u32, n: i32, spill: u32, head: Option<Instr>) -> Program {
+        let mut v = vec![
+            addi(Reg::S0, Reg::ZERO, w as i32),
+            addi(Reg::A1, Reg::ZERO, x as i32),
+            addi(Reg::A2, Reg::A1, 2 * n),
+            addi(Reg::A3, Reg::ZERO, spill as i32),
+        ];
+        v.extend(head);
+        v.extend([
+            load(LoadOp::Lh, Reg::T1, Reg::S0, 0),
+            load(LoadOp::Lh, Reg::T2, Reg::A1, 0),
+            load(LoadOp::Lw, Reg::T0, Reg::A3, 0),
+            addi(Reg::S0, Reg::S0, 2),
+            Instr::Mac {
+                rd: Reg::T0,
+                rs1: Reg::T1,
+                rs2: Reg::T2,
+            },
+            store(StoreOp::Sw, Reg::T0, Reg::A3, 0),
+            addi(Reg::A1, Reg::A1, 2),
+            branch(BranchOp::Bltu, Reg::A1, Reg::A2, -28),
+            Instr::Ecall,
+        ]);
+        Program::from_instrs(0, v)
+    }
+
+    /// Fills the 256-byte test memory with a fixed pseudo-random pattern.
+    fn patterned(m: &mut Machine) {
+        for a in (0..256u32).step_by(4) {
+            m.mem_mut()
+                .write_u32(a, a.wrapping_mul(0x9E37_79B9))
+                .unwrap();
+        }
+    }
+
+    /// Loads `prog` on a patterned machine and sets its registers as the
+    /// prologue (the first `prologue` ops) leaves them, PC on the next
+    /// op — the state a bulk entry at the loop head sees.
+    fn at_loop_head(prog: &Program, prologue: usize) -> Machine {
+        let mut m = Machine::new(256);
+        patterned(&mut m);
+        m.load_program(prog);
+        for _ in 0..prologue {
+            m.step().unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn dot_loop_runs_natively_and_matches_legacy() {
+        let prog = level_a_dot(0x20, 0x60, 24, 0xC0, None);
+        let t = UopProgram::translate(&prog);
+        assert_eq!(t.dot_loops(), 1);
+        let dot = t.runs[t.uops[4].run as usize].dot.as_ref().unwrap();
+        let r = at_loop_head(&prog, 4).dot_reduce(dot, 1000).unwrap();
+        assert_eq!((r.passes, r.exited, r.spill_addr), (24, true, Some(0xC0)));
+        let (m, res) = run_vs_legacy(&prog, patterned, 100_000);
+        assert_eq!(res, Ok(ExitReason::Ecall));
+        assert_eq!(m.core().reg(Reg::T0), r.acc);
+        assert!(m.bulk_instrs() > m.core().instret / 2);
+    }
+
+    #[test]
+    fn spill_word_aliasing_a_stream_declines_to_exact_bulk() {
+        // The spill word sits inside the input stream: every pass's store
+        // changes an input a later pass reads, so the native reduction
+        // must decline; the per-op bulk runner then gives the exact
+        // (aliased) result. Control: the same loop spilling outside.
+        for (spill, aliased) in [(0x68, true), (0xC0, false)] {
+            let prog = level_a_dot(0x20, 0x60, 16, spill, None);
+            let t = UopProgram::translate(&prog);
+            let dot = t.runs[t.uops[4].run as usize].dot.as_ref().unwrap();
+            let native = at_loop_head(&prog, 4).dot_reduce(dot, 1000);
+            assert_eq!(native.is_none(), aliased, "spill {spill:#x}");
+            let (m, r) = run_vs_legacy(&prog, patterned, 100_000);
+            assert_eq!(r, Ok(ExitReason::Ecall));
+            assert!(m.bulk_instrs() > m.core().instret / 2, "still in bulk");
+        }
+    }
+
+    #[test]
+    fn mid_loop_stream_fault_leaves_exact_state() {
+        // The input stream starts at 0xE0 and runs 32 pairs: pass 16's
+        // input load (op 1, at 0x14) hits 0x100, past the 256-byte memory.
+        let prog = level_a_dot(0x20, 0xE0, 32, 0xC0, None);
+        let t = UopProgram::translate(&prog);
+        let dot = t.runs[t.uops[4].run as usize].dot.as_ref().unwrap();
+        assert!(at_loop_head(&prog, 4).dot_reduce(dot, 1000).is_none());
+        let (m, r) = run_vs_legacy(&prog, patterned, 100_000);
+        assert_eq!(
+            r,
+            Err(SimError::MemOutOfBounds {
+                addr: 0x100,
+                size: 2
+            })
+        );
+        assert_eq!(m.core().pc, 0x14, "PC stays on the faulting lh");
+        // Pass 16's weight load retired, its pointer advance did not.
+        assert_eq!(m.core().reg(Reg::S0), 0x20 + 2 * 16);
+        // Misaligned input stream: declines, faults exactly on pass 0.
+        let prog = level_a_dot(0x20, 0x61, 8, 0xC0, None);
+        let t = UopProgram::translate(&prog);
+        let dot = t.runs[t.uops[4].run as usize].dot.as_ref().unwrap();
+        assert!(at_loop_head(&prog, 4).dot_reduce(dot, 1000).is_none());
+        let (_, r) = run_vs_legacy(&prog, patterned, 100_000);
+        assert_eq!(
+            r,
+            Err(SimError::Misaligned {
+                addr: 0x61,
+                size: 2
+            })
+        );
+    }
+
+    #[test]
+    fn watchdog_fires_on_the_exact_cycle_inside_a_dot_loop() {
+        // 100 passes of 9 cycles after a 4-op prologue: every budget cuts
+        // the loop somewhere, and the native reduction must stop on the
+        // same pass boundary as the per-op path.
+        let prog = level_a_dot(0x00, 0x20, 100, 0xF0, None);
+        for max_cycles in (1..=120).chain(880..=902) {
+            let (_, r) = run_vs_legacy(&prog, patterned, max_cycles);
+            assert_eq!(r, Err(SimError::Watchdog { max_cycles }));
+        }
+        // A never-exiting dot loop (`bgeu a1, zero`): within the budget
+        // cap the reduction runs every capped pass in one call; past the
+        // 64 passes the input stream has left in memory it declines, and
+        // the per-op runner faults on pass 64's input load.
+        let prog = Program::from_instrs(
+            0,
+            vec![
+                addi(Reg::A1, Reg::ZERO, 0x80),
+                load(LoadOp::Lh, Reg::T1, Reg::S0, 0),
+                load(LoadOp::Lh, Reg::T2, Reg::A1, 0),
+                Instr::Mac {
+                    rd: Reg::A4,
+                    rs1: Reg::T1,
+                    rs2: Reg::T2,
+                },
+                addi(Reg::S0, Reg::S0, 2),
+                addi(Reg::A1, Reg::A1, 2),
+                branch(BranchOp::Bgeu, Reg::A1, Reg::ZERO, -20),
+                Instr::Ecall,
+            ],
+        );
+        let t = UopProgram::translate(&prog);
+        let dot = t.runs[t.uops[1].run as usize].dot.as_ref().unwrap();
+        assert!(at_loop_head(&prog, 1).dot_reduce(dot, 64).is_some());
+        assert!(at_loop_head(&prog, 1).dot_reduce(dot, 65).is_none());
+        for max_cycles in (1..=40).chain(480..=500) {
+            let (m, r) = run_vs_legacy(&prog, patterned, max_cycles);
+            assert_eq!(r, Err(SimError::Watchdog { max_cycles }));
+            if max_cycles >= 480 {
+                assert!(m.bulk_instrs() > m.core().instret / 2);
+            }
+        }
+        let (m, r) = run_vs_legacy(&prog, patterned, 100_000);
+        assert_eq!(
+            r,
+            Err(SimError::MemOutOfBounds {
+                addr: 0x100,
+                size: 2
+            })
+        );
+        assert_eq!(m.core().reg(Reg::S0), 2 * 64);
+    }
+
+    #[test]
+    fn spr_write_in_flight_declines_the_dot_loop() {
+        // A `pl.sdotsp` right before the head leaves its SPR write in
+        // flight at the bulk entry.
+        let sdot = Instr::PlSdotsp {
+            spr: 1,
+            size: SimdSize::Half,
+            rd: Reg::A5,
+            rs1: Reg::A6,
+            rs2: Reg::ZERO,
+        };
+        let prog = level_a_dot(0x20, 0x60, 12, 0xC0, Some(sdot));
+        let t = UopProgram::translate(&prog);
+        let dot = t.runs[t.uops[5].run as usize].dot.as_ref().unwrap();
+        let entry = at_loop_head(&prog, 5);
+        assert!(!entry.spr_pending.is_empty());
+        assert!(entry.dot_reduce(dot, 1000).is_none());
+        let (m, r) = run_vs_legacy(&prog, patterned, 100_000);
+        assert_eq!(r, Ok(ExitReason::Ecall));
+        assert!(m.bulk_instrs() > m.core().instret / 2);
+    }
+
+    #[test]
+    fn level_b_dot_bodies_match_legacy() {
+        // `lp.setupi` over `p.lw!, p.lw!, pv.sdotsp.h`, both load orders,
+        // including a stream that runs out of memory mid-loop.
+        for (x, count) in [(0x80, 12u32), (0xF0, 12), (0x80, 1)] {
+            for swap in [false, true] {
+                let mut loads = [
+                    Instr::LoadPostInc {
+                        op: LoadOp::Lw,
+                        rd: Reg::T0,
+                        rs1: Reg::A1,
+                        offset: 4,
+                    },
+                    Instr::LoadPostInc {
+                        op: LoadOp::Lw,
+                        rd: Reg::T1,
+                        rs1: Reg::A2,
+                        offset: 4,
+                    },
+                ];
+                if swap {
+                    loads.reverse();
+                }
+                let prog = Program::from_instrs(
+                    0,
+                    vec![
+                        addi(Reg::A1, Reg::ZERO, 0x10),
+                        addi(Reg::A2, Reg::ZERO, x),
+                        Instr::LpSetupi {
+                            l: LoopIdx::L0,
+                            count,
+                            uimm: 8,
+                        },
+                        loads[0],
+                        loads[1],
+                        Instr::PvDot {
+                            op: DotOp::SdotSp,
+                            size: SimdSize::Half,
+                            rd: Reg::A4,
+                            rs1: Reg::T0,
+                            rs2: Reg::T1,
+                        },
+                        Instr::Ecall,
+                    ],
+                );
+                assert_eq!(UopProgram::translate(&prog).dot_loops(), 1);
+                for max_cycles in [7, 20, 100_000] {
+                    let _ = run_vs_legacy(&prog, patterned, max_cycles);
+                }
+            }
+        }
     }
 
     #[test]

@@ -446,11 +446,9 @@ impl Memory {
         Ok(())
     }
 
-    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
-    /// span must fit, and `addr` must be aligned to `align`.
-    #[inline]
     /// Borrows `len` raw bytes starting at `addr` — the zero-copy
-    /// operand view used by the kernel-shortcut handlers.
+    /// operand view used by the kernel-shortcut handlers and the
+    /// dot-product loop reduction.
     ///
     /// # Errors
     ///
@@ -461,6 +459,9 @@ impl Memory {
         Ok(&self.bytes()[a..a + len])
     }
 
+    /// Range twin of [`check`](Self::check): the whole `[addr, addr+len)`
+    /// span must fit, and `addr` must be aligned to `align`.
+    #[inline]
     fn check_range(&self, addr: u32, align: u32, len: usize) -> Result<usize, SimError> {
         let a = addr as usize;
         if !a.is_multiple_of(align as usize) {

@@ -227,14 +227,6 @@ pub(crate) fn read_load(mem: &Memory, op: LoadOp, addr: u32) -> Option<u32> {
     })
 }
 
-fn load_size(op: LoadOp) -> u32 {
-    match op {
-        LoadOp::Lb | LoadOp::Lbu => 1,
-        LoadOp::Lh | LoadOp::Lhu => 2,
-        LoadOp::Lw => 4,
-    }
-}
-
 /// Tracks the contiguous byte ranges a region accesses. Streamed
 /// accesses extend an existing range; a range count explosion or an
 /// inconsistent alignment residue rejects the region.
@@ -626,7 +618,7 @@ pub(crate) fn install(
                 offset,
             } => {
                 let addr = aaddr(get(&regs, rs1)?, offset)?;
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                if !loads.add(addr.cell, addr.off, op.size()) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -647,7 +639,7 @@ pub(crate) fn install(
             } => {
                 let base = get(&regs, rs1)?;
                 let addr = aaddr(base, 0)?;
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                if !loads.add(addr.cell, addr.off, op.size()) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -674,7 +666,7 @@ pub(crate) fn install(
                     },
                     _ => return None,
                 };
-                if !loads.add(addr.cell, addr.off, load_size(op)) {
+                if !loads.add(addr.cell, addr.off, op.size()) {
                     return None;
                 }
                 let v = if op == LoadOp::Lw && addr.cell.is_none() {
@@ -894,10 +886,10 @@ pub(crate) fn install(
                 };
                 let v = match (a, b, d0) {
                     (Av::Const(x), Av::Const(y), Some(Av::Const(d))) => {
-                        Av::Const(d.wrapping_add(crate::machine::exec_dot(op, size, x, y)))
+                        Av::Const(d.wrapping_add(crate::machine::dot_lanes(op, size, x, y)))
                     }
                     (Av::Const(x), Av::Const(y), None) => {
-                        Av::Const(crate::machine::exec_dot(op, size, x, y))
+                        Av::Const(crate::machine::dot_lanes(op, size, x, y))
                     }
                     _ => data(false, &mut next_id),
                 };

@@ -26,8 +26,19 @@
 //! *branch-closed* run: the software loops of the scalar baseline
 //! kernels (`lh, lh, lw, addi, mac, sw, addi, bltu`) then run in bulk
 //! too, repeating passes while the closing branch is taken and stopping
-//! on its fall-through. See `DESIGN.md` § "Micro-op pipeline" for the
-//! exact lowering rules and fallback conditions.
+//! on its fall-through.
+//!
+//! A branch-closed run or hardware-loop body whose ops are one dot
+//! product — two contiguous streaming loads (`lh` for `p.mac`, `lw` for
+//! `pv.sdotsp.h`), pointers advanced by constants, the product of the
+//! two loaded values into an accumulator, optionally spilled through
+//! one `lw`/`sw` pair at a loop-invariant address, and the closing
+//! branch on an advanced register — also carries a [`DotLoop`] naming
+//! those roles, found by dataflow alone. The runner then executes its passes as one host
+//! reduction over the two streams (`Machine::exec_dot`), declining to
+//! the per-op bulk runner whenever an entry check fails. See `DESIGN.md`
+//! § "Micro-op pipeline" for the exact lowering rules and fallback
+//! conditions.
 
 use crate::error::ExitReason;
 use crate::program::Program;
@@ -375,6 +386,8 @@ pub(crate) struct LoopBody {
     /// iteration's first). Used for exact accounting of a faulting
     /// partial iteration.
     pub stall_in: Vec<Option<MnemonicId>>,
+    /// The body's dot-product roles, when it is one.
+    pub dot: Option<Box<DotLoop>>,
     /// Next descriptor sharing the same last body op, or [`NO_BODY`].
     pub next: u32,
 }
@@ -421,6 +434,73 @@ pub(crate) struct StraightRun {
     /// Whether the last op is a conditional branch back to the first op
     /// (a software loop) rather than a fall-through.
     pub closed: bool,
+    /// The loop's dot-product roles, when a branch-closed run is one
+    /// (boxed: most runs are not, and every run carries the field).
+    pub dot: Option<Box<DotLoop>>,
+}
+
+/// The product-accumulate op of a [`DotLoop`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DotProduct {
+    /// `p.mac rd, rs1, rs2`: 32-bit wrapping multiply-accumulate.
+    Mac,
+    /// `pv.sdotsp.h rd, rs1, rs2`: signed two-lane halfword dot
+    /// product, accumulated.
+    SdotspH,
+}
+
+/// One streaming load of a [`DotLoop`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DotStream {
+    /// Load width and extension.
+    pub op: LoadOp,
+    /// Destination register (the product operand).
+    pub rd: Reg,
+    /// Pointer register.
+    pub ptr: Reg,
+    /// Address of the pass's load relative to the pointer's pass-entry
+    /// value (the load offset plus any advance earlier in the pass). The
+    /// pointer advances by the access width per pass.
+    pub offset: u32,
+}
+
+/// The closing branch of a software [`DotLoop`]: `var`, advanced by
+/// `stride` per pass, against the loop-invariant `bound` (or `x0`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DotExit {
+    pub op: BranchOp,
+    pub var: Reg,
+    pub stride: u32,
+    pub bound: Reg,
+    /// Whether `var` is the branch's `rs1` (else its `rs2`).
+    pub var_is_rs1: bool,
+}
+
+/// A loop body that is one dot product, recognized by dataflow: every
+/// op fills one role — two contiguous streaming loads (`lh` feeding a
+/// `p.mac`, `lw` feeding a `pv.sdotsp.h`: the level-a and level-b kernel
+/// shapes, each pointer advancing by the access width per pass), one
+/// product-accumulate of the two loaded values, pointer advances by
+/// constants, optionally the
+/// accumulator spilled through one `lw`/`sw` pair at a loop-invariant
+/// address, and for a software loop the closing branch. `n` passes then
+/// reduce to one host loop over the two memory streams (see
+/// `Machine::exec_dot`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct DotLoop {
+    /// The streams feeding the product's `rs1` and `rs2`, in that order.
+    pub streams: [DotStream; 2],
+    pub product: DotProduct,
+    /// Accumulator register.
+    pub acc: Reg,
+    /// Spill word `(base, offset)`: the accumulator is loaded from and
+    /// stored back to `base + offset` every pass.
+    pub spill: Option<(Reg, u32)>,
+    /// Every register advanced by a constant, with its per-pass advance
+    /// (the stream pointers plus any loop counter).
+    pub advanced: Vec<(Reg, u32)>,
+    /// The closing branch, for a software loop.
+    pub exit: Option<DotExit>,
 }
 
 /// A [`Program`] lowered to micro-ops — build once with
@@ -553,6 +633,7 @@ impl UopProgram {
                 stall_rows,
                 stall_in,
                 closed: false,
+                dot: None,
             });
         }
         Self {
@@ -588,6 +669,13 @@ impl UopProgram {
     /// specialized.
     pub fn branch_loops(&self) -> usize {
         self.runs.iter().filter(|r| r.closed).count()
+    }
+
+    /// Number of loop bodies and branch-closed loops the translator
+    /// recognized as dot-product loops (see [`DotLoop`]).
+    pub fn dot_loops(&self) -> usize {
+        let bodies = self.bodies.iter().filter(|b| b.dot.is_some()).count();
+        bodies + self.runs.iter().filter(|r| r.dot.is_some()).count()
     }
 
     /// Number of kernel-shortcut regions verified and installed by
@@ -663,6 +751,7 @@ fn recognize_body(uops: &[Uop], program: &Program, start: u32, end: u32) -> Opti
         retire_rows,
         stall_rows,
         stall_in,
+        dot: recognize_dot(&uops[start_idx..start_idx + len], false),
         next: NO_BODY,
     })
 }
@@ -703,7 +792,170 @@ fn recognize_branch_loop(uops: &[Uop], branch: usize) -> Option<StraightRun> {
         stall_rows,
         stall_in,
         closed: true,
+        dot: recognize_dot(body, true),
     })
+}
+
+/// A load seen while walking a candidate dot body: its body position,
+/// width, destination, base register and address relative to the base's
+/// pass-entry value.
+type BodyLoad = (usize, LoadOp, Reg, Reg, u32);
+
+/// Recognizes a loop body (`closed`: ending in its closing branch) as a
+/// [`DotLoop`], or `None` when some op fills no role or the roles
+/// overlap. Registers are classified by what writes them: the two stream
+/// destinations (loads only), the accumulator (the product, and the
+/// spill `lw`), and advanced registers (`addi r, r, imm` and
+/// post-increments only); everything the body reads otherwise — the
+/// spill base, the branch bound — must be written by nothing in it.
+fn recognize_dot(ops: &[Uop], closed: bool) -> Option<Box<DotLoop>> {
+    let (body, branch) = if closed {
+        let (last, body) = ops.split_last()?;
+        (body, Some(last))
+    } else {
+        (ops, None)
+    };
+    let mut delta = [0u32; 32];
+    let mut advanced = 0u32;
+    let mut loads: Vec<BodyLoad> = Vec::new();
+    let mut store: Option<(usize, Reg, Reg, u32)> = None;
+    let mut product: Option<(usize, DotProduct, Reg, Reg, Reg)> = None;
+    for (k, u) in body.iter().enumerate() {
+        match u.kind {
+            UopKind::OpImm {
+                op: AluImmOp::Addi,
+                rd,
+                rs1,
+                imm,
+            } if rd == rs1 && !rd.is_zero() => {
+                delta[usize::from(rd.num())] =
+                    delta[usize::from(rd.num())].wrapping_add(imm as u32);
+                advanced |= 1 << rd.num();
+            }
+            UopKind::Load {
+                op,
+                rd,
+                rs1,
+                offset,
+            } => loads.push((
+                k,
+                op,
+                rd,
+                rs1,
+                delta[usize::from(rs1.num())].wrapping_add(offset),
+            )),
+            UopKind::LoadPostInc {
+                op,
+                rd,
+                rs1,
+                offset,
+            } => {
+                loads.push((k, op, rd, rs1, delta[usize::from(rs1.num())]));
+                delta[usize::from(rs1.num())] = delta[usize::from(rs1.num())].wrapping_add(offset);
+                advanced |= 1 << rs1.num();
+            }
+            UopKind::Store {
+                op: StoreOp::Sw,
+                rs2,
+                rs1,
+                offset,
+            } if store.is_none() => store = Some((k, rs2, rs1, offset)),
+            UopKind::Mac { rd, rs1, rs2 } if product.is_none() => {
+                product = Some((k, DotProduct::Mac, rd, rs1, rs2));
+            }
+            UopKind::PvDot {
+                op: DotOp::SdotSp,
+                size: SimdSize::Half,
+                rd,
+                rs1,
+                rs2,
+            } if product.is_none() => product = Some((k, DotProduct::SdotspH, rd, rs1, rs2)),
+            _ => return None,
+        }
+    }
+    let (pk, kind, acc, rs1, rs2) = product?;
+    // The stream loads feed the product's operands; any other load must
+    // be the spill `lw` of the accumulator.
+    let elem = match kind {
+        DotProduct::Mac => LoadOp::Lh,
+        DotProduct::SdotspH => LoadOp::Lw,
+    };
+    let feeding = |rd: Reg| loads.iter().filter(move |l| l.2 == rd);
+    let stream = |rd: Reg| -> Option<DotStream> {
+        let mut it = feeding(rd);
+        let &(k, op, rd, ptr, offset) = it.next()?;
+        // Only an advanced register has a non-zero per-pass delta.
+        let ok = it.next().is_none()
+            && k < pk
+            && op == elem
+            && delta[usize::from(ptr.num())] == op.size();
+        ok.then_some(DotStream {
+            op,
+            rd,
+            ptr,
+            offset,
+        })
+    };
+    let streams = [stream(rs1)?, stream(rs2)?];
+    let spill_load = loads.iter().find(|l| l.2 == acc);
+    let spill = match (spill_load, store) {
+        (None, None) if loads.len() == 2 => None,
+        (Some(&(lk, LoadOp::Lw, _, base, off)), Some((sk, val, sbase, soff)))
+            if loads.len() == 3
+                && lk < pk
+                && pk < sk
+                && val == acc
+                && (base, off) == (sbase, soff) =>
+        {
+            Some((base, off))
+        }
+        _ => return None,
+    };
+    // Written registers fill exactly one role each.
+    let bit = |r: Reg| 1u32 << r.num();
+    let (d0, d1) = (bit(rs1), bit(rs2));
+    let written = advanced | d0 | d1 | bit(acc);
+    if rs1 == rs2
+        || written & 1 != 0
+        || advanced & (d0 | d1 | bit(acc)) != 0
+        || bit(acc) & (d0 | d1) != 0
+        || spill.is_some_and(|(base, _)| written & bit(base) != 0)
+    {
+        return None;
+    }
+    let exit = match branch.map(|b| b.kind) {
+        None => None,
+        Some(UopKind::Branch { op, rs1, rs2, .. }) => {
+            let is_var = |r: Reg| advanced & bit(r) != 0;
+            let is_bound = |r: Reg| written & bit(r) == 0;
+            let (var, bound, var_is_rs1) = if is_var(rs1) && is_bound(rs2) {
+                (rs1, rs2, true)
+            } else if is_var(rs2) && is_bound(rs1) {
+                (rs2, rs1, false)
+            } else {
+                return None;
+            };
+            Some(DotExit {
+                op,
+                var,
+                stride: delta[usize::from(var.num())],
+                bound,
+                var_is_rs1,
+            })
+        }
+        Some(_) => return None,
+    };
+    Some(Box::new(DotLoop {
+        streams,
+        product: kind,
+        acc,
+        spill,
+        advanced: Reg::all()
+            .filter(|r| advanced & bit(*r) != 0)
+            .map(|r| (r, delta[usize::from(r.num())]))
+            .collect(),
+        exit,
+    }))
 }
 
 /// The static timing profile of a straight-line micro-op slice:
@@ -1440,6 +1692,336 @@ mod tests {
             let t = UopProgram::translate(&prog);
             let outer = t.runs.iter().any(|r| r.closed && r.start_idx == 0);
             assert!(!outer, "{poison:?} must block the loop");
+        }
+    }
+
+    #[test]
+    fn level_a_mac_loop_is_a_dot_loop() {
+        let t = UopProgram::translate(&baseline_mac_loop());
+        assert_eq!(t.dot_loops(), 1);
+        let dot = t.runs[t.uops[2].run as usize].dot.as_ref().unwrap();
+        let lh = |rd, ptr| DotStream {
+            op: LoadOp::Lh,
+            rd,
+            ptr,
+            offset: 0,
+        };
+        assert_eq!(dot.streams, [lh(Reg::T1, Reg::S0), lh(Reg::T2, Reg::A1)]);
+        assert_eq!(dot.product, DotProduct::Mac);
+        assert_eq!(dot.acc, Reg::T0);
+        assert_eq!(dot.spill, Some((Reg::A3, 0)));
+        assert_eq!(dot.advanced, vec![(Reg::S0, 2), (Reg::A1, 2)]);
+        assert_eq!(
+            dot.exit,
+            Some(DotExit {
+                op: BranchOp::Bltu,
+                var: Reg::A1,
+                stride: 2,
+                bound: Reg::A2,
+                var_is_rs1: true,
+            })
+        );
+        // The plain run in front of the loop is no dot loop.
+        assert!(t.runs[t.uops[0].run as usize].dot.is_none());
+    }
+
+    fn lw_post(rd: Reg, rs1: Reg) -> Instr {
+        Instr::LoadPostInc {
+            op: LoadOp::Lw,
+            rd,
+            rs1,
+            offset: 4,
+        }
+    }
+
+    fn sdotsp(rd: Reg, rs1: Reg, rs2: Reg) -> Instr {
+        Instr::PvDot {
+            op: DotOp::SdotSp,
+            size: SimdSize::Half,
+            rd,
+            rs1,
+            rs2,
+        }
+    }
+
+    #[test]
+    fn level_b_body_is_a_dot_loop_in_either_load_order() {
+        // `p.lw! t0, 4(a1); p.lw! t1, 4(a2); pv.sdotsp.h a4, t0, t1` in a
+        // hardware loop, and the degenerate-tile order (input first).
+        for swap in [false, true] {
+            let mut loads = [lw_post(Reg::T0, Reg::A1), lw_post(Reg::T1, Reg::A2)];
+            if swap {
+                loads.reverse();
+            }
+            let prog = Program::from_instrs(
+                0,
+                [
+                    Instr::LpSetupi {
+                        l: LoopIdx::L0,
+                        count: 8,
+                        uimm: 8,
+                    },
+                    loads[0],
+                    loads[1],
+                    sdotsp(Reg::A4, Reg::T0, Reg::T1),
+                    Instr::Ecall,
+                ],
+            );
+            let t = UopProgram::translate(&prog);
+            assert_eq!(t.dot_loops(), 1, "swap {swap}");
+            let dot = t.bodies[0].dot.as_ref().unwrap();
+            let s = |rd, ptr| DotStream {
+                op: LoadOp::Lw,
+                rd,
+                ptr,
+                offset: 0,
+            };
+            assert_eq!(dot.streams, [s(Reg::T0, Reg::A1), s(Reg::T1, Reg::A2)]);
+            assert_eq!((dot.product, dot.acc), (DotProduct::SdotspH, Reg::A4));
+            assert_eq!((dot.spill, dot.exit), (None, None));
+        }
+        // A weight stream stepping two words per pass stays a plain
+        // hardware-loop body.
+        let strided = Instr::LoadPostInc {
+            op: LoadOp::Lw,
+            rd: Reg::T0,
+            rs1: Reg::A1,
+            offset: 8,
+        };
+        let prog = Program::from_instrs(
+            0,
+            [
+                Instr::LpSetupi {
+                    l: LoopIdx::L0,
+                    count: 8,
+                    uimm: 8,
+                },
+                strided,
+                lw_post(Reg::T1, Reg::A2),
+                sdotsp(Reg::A4, Reg::T0, Reg::T1),
+                Instr::Ecall,
+            ],
+        );
+        let t = UopProgram::translate(&prog);
+        assert_eq!((t.bodies.len(), t.dot_loops()), (1, 0));
+    }
+
+    /// The roles of a software loop over `body`, closed by `close`
+    /// (its offset is patched to the loop head); `None` when the loop is
+    /// branch-closed but no dot loop.
+    fn software_dot(body: &[Instr], close: Instr) -> Option<Box<DotLoop>> {
+        let Instr::Branch { op, rs1, rs2, .. } = close else {
+            panic!("{close:?} is no branch");
+        };
+        let mut v = body.to_vec();
+        v.push(branch(op, rs1, rs2, -4 * body.len() as i32));
+        v.push(Instr::Ecall);
+        let t = UopProgram::translate(&Program::from_instrs(0, v));
+        assert_eq!(
+            t.branch_loops(),
+            1,
+            "{body:?} must stay a branch-closed loop"
+        );
+        t.runs[t.uops[0].run as usize].dot.clone()
+    }
+
+    #[test]
+    fn counter_closed_loop_is_recognized() {
+        let lh = |rd, rs1, offset| Instr::Load {
+            op: LoadOp::Lh,
+            rd,
+            rs1,
+            offset,
+        };
+        let mac = Instr::Mac {
+            rd: Reg::A4,
+            rs1: Reg::T1,
+            rs2: Reg::T2,
+        };
+        // Counter-closed: `bne s1, zero` on a down-counter.
+        let dot = software_dot(
+            &[
+                lh(Reg::T1, Reg::A0, 0),
+                lh(Reg::T2, Reg::A1, 0),
+                mac,
+                addi(Reg::A0, Reg::A0, 2),
+                addi(Reg::A1, Reg::A1, 2),
+                addi(Reg::S1, Reg::S1, -1),
+            ],
+            branch(BranchOp::Bne, Reg::S1, Reg::ZERO, 0),
+        )
+        .unwrap();
+        let exit = dot.exit.unwrap();
+        assert_eq!(
+            (exit.var, exit.stride, exit.bound),
+            (Reg::S1, u32::MAX, Reg::ZERO)
+        );
+        assert_eq!(dot.advanced.len(), 3);
+        // Bound on the left, and a stream loaded past an advance earlier
+        // in the pass: its load sits at +2 from the pass-entry pointer.
+        let dot = software_dot(
+            &[
+                lh(Reg::T1, Reg::A0, 0),
+                addi(Reg::A1, Reg::A1, 2),
+                lh(Reg::T2, Reg::A1, 0),
+                mac,
+                addi(Reg::A0, Reg::A0, 2),
+            ],
+            branch(BranchOp::Bltu, Reg::A2, Reg::A0, 0),
+        )
+        .unwrap();
+        assert_eq!(dot.streams.map(|s| s.offset), [0, 2]);
+        assert!(!dot.exit.unwrap().var_is_rs1);
+    }
+
+    #[test]
+    fn near_miss_loops_are_no_dot_loops() {
+        let lh = |rd, rs1| Instr::Load {
+            op: LoadOp::Lh,
+            rd,
+            rs1,
+            offset: 0,
+        };
+        let mac = |rd, rs1, rs2| Instr::Mac { rd, rs1, rs2 };
+        let bltu = branch(BranchOp::Bltu, Reg::A1, Reg::A2, 0);
+        // A well-formed body and a set of single-op mutations of it.
+        let good = vec![
+            lh(Reg::T1, Reg::A0),
+            lh(Reg::T2, Reg::A1),
+            mac(Reg::A4, Reg::T1, Reg::T2),
+            addi(Reg::A0, Reg::A0, 2),
+            addi(Reg::A1, Reg::A1, 2),
+        ];
+        assert!(software_dot(&good, bltu).is_some());
+        let with = |k: usize, op: Instr| {
+            let mut v = good.clone();
+            v[k] = op;
+            v
+        };
+        let cases: Vec<(&str, Vec<Instr>, Instr)> = vec![
+            (
+                "accumulator equal to a pointer",
+                with(2, mac(Reg::A0, Reg::T1, Reg::T2)),
+                bltu,
+            ),
+            (
+                "a load feeding the branch",
+                good.clone(),
+                branch(BranchOp::Bne, Reg::T2, Reg::ZERO, 0),
+            ),
+            (
+                "a third load",
+                [good.clone(), vec![lh(Reg::T3, Reg::A1)]].concat(),
+                bltu,
+            ),
+            (
+                "squared operand",
+                with(2, mac(Reg::A4, Reg::T1, Reg::T1)),
+                bltu,
+            ),
+            (
+                "operand not loaded",
+                with(2, mac(Reg::A4, Reg::T1, Reg::S1)),
+                bltu,
+            ),
+            (
+                "load after the product",
+                vec![
+                    lh(Reg::T1, Reg::A0),
+                    mac(Reg::A4, Reg::T1, Reg::T2),
+                    lh(Reg::T2, Reg::A1),
+                    addi(Reg::A0, Reg::A0, 2),
+                    addi(Reg::A1, Reg::A1, 2),
+                ],
+                bltu,
+            ),
+            (
+                "pointer not advanced",
+                with(4, addi(Reg::A3, Reg::A3, 2)),
+                branch(BranchOp::Bltu, Reg::A0, Reg::A2, 0),
+            ),
+            (
+                "stride other than the access width",
+                with(3, addi(Reg::A0, Reg::A0, 4)),
+                bltu,
+            ),
+            (
+                "stream walking down",
+                with(3, addi(Reg::A0, Reg::A0, -2)),
+                bltu,
+            ),
+            (
+                "zero-extended load",
+                with(
+                    0,
+                    Instr::Load {
+                        op: LoadOp::Lhu,
+                        rd: Reg::T1,
+                        rs1: Reg::A0,
+                        offset: 0,
+                    },
+                ),
+                bltu,
+            ),
+            (
+                "one pointer feeding both streams",
+                vec![
+                    lh(Reg::T1, Reg::A0),
+                    addi(Reg::A0, Reg::A0, 2),
+                    lh(Reg::T2, Reg::A0),
+                    mac(Reg::A4, Reg::T1, Reg::T2),
+                    addi(Reg::A0, Reg::A0, 2),
+                ],
+                branch(BranchOp::Bltu, Reg::A0, Reg::A2, 0),
+            ),
+            ("non-role op", with(3, addi(Reg::A0, Reg::A3, 2)), bltu),
+            (
+                "two advanced registers compared",
+                good.clone(),
+                branch(BranchOp::Bltu, Reg::A1, Reg::A0, 0),
+            ),
+            (
+                "accumulator as the bound",
+                good.clone(),
+                branch(BranchOp::Bltu, Reg::A1, Reg::A4, 0),
+            ),
+            (
+                "spill load without its store",
+                [
+                    vec![Instr::Load {
+                        op: LoadOp::Lw,
+                        rd: Reg::A4,
+                        rs1: Reg::A3,
+                        offset: 0,
+                    }],
+                    good.clone(),
+                ]
+                .concat(),
+                bltu,
+            ),
+            (
+                "spill store to another word",
+                [
+                    vec![Instr::Load {
+                        op: LoadOp::Lw,
+                        rd: Reg::A4,
+                        rs1: Reg::A3,
+                        offset: 0,
+                    }],
+                    good.clone(),
+                    vec![Instr::Store {
+                        op: StoreOp::Sw,
+                        rs2: Reg::A4,
+                        rs1: Reg::A3,
+                        offset: 4,
+                    }],
+                ]
+                .concat(),
+                bltu,
+            ),
+        ];
+        for (what, body, close) in cases {
+            assert_eq!(software_dot(&body, close), None, "{what}");
         }
     }
 

@@ -9,7 +9,12 @@
 //! software loops closed by a backward branch (counter and
 //! pointer-compare loops, a load feeding the branch, trip count 1,
 //! never-exiting loops, poisoned bodies, a hardware loop ending on the
-//! loop's exit), post-increment load/store streams, `pl.sdotsp` SPR
+//! loop's exit), dot-product loops in the level-a and level-b shapes
+//! (with streams running out of memory or misaligned, a spill word
+//! aliasing a stream, an SPR write in flight at entry, never-exiting
+//! loops, and near-misses that must not be recognized, other load
+//! widths and strides among them), post-increment
+//! load/store streams, `pl.sdotsp` SPR
 //! pipelines, taken and untaken branches, `jalr`, serial divides, and
 //! pointer streams that eventually fault mid-loop. Every seed is run
 //! under several cycle budgets so the watchdog fires inside bulk loop
@@ -358,8 +363,226 @@ impl Gen {
         }
     }
 
+    /// A stream base for a dot loop: usually in bounds, sometimes near
+    /// the top of memory (the stream runs out mid-loop), sometimes off
+    /// the access alignment by `misalign` bytes.
+    fn dot_base(&mut self, misalign: u32) -> i32 {
+        (match self.u(16) {
+            0 => MEM_BYTES as u32 - 24,
+            1 => 4 * self.u(200) + misalign,
+            _ => 4 * self.u(200),
+        }) as i32
+    }
+
+    /// A dot-product loop in the shapes the translator runs as one host
+    /// reduction — the level-a software MAC loop (spilled accumulator,
+    /// `bltu` on the input pointer, either load order), a counter-closed
+    /// variant, a never-exiting one, and the level-b `p.lw!, p.lw!,
+    /// pv.sdotsp.h` hardware-loop body in either load order — with the
+    /// entry conditions that must decline (a stream running out of
+    /// memory or misaligned, a spill word aliasing a stream, an SPR
+    /// write in flight) and near-misses the translator must not
+    /// recognize (accumulator equal to a pointer, a load feeding the
+    /// branch, a third load, loads or strides other than the two kernel
+    /// shapes'). Registers `a5`–`a7`, `s2`–`s4`, `t5`, `t6`
+    /// are its own.
+    fn emit_dot_loop(&mut self, out: &mut Vec<Instr>) {
+        const WP: Reg = Reg::A5;
+        const XP: Reg = Reg::A6;
+        const ACC: Reg = Reg::A7;
+        const SPILL: Reg = Reg::S2;
+        const END: Reg = Reg::S3;
+        const CNT: Reg = Reg::S4;
+        const W: Reg = Reg::T5;
+        const X: Reg = Reg::T6;
+        let trips = if self.u(5) == 0 {
+            1
+        } else {
+            1 + self.u(24) as i32
+        };
+        let swap = self.u(2) == 0;
+        let near_miss = if self.u(6) == 0 { 1 + self.u(3) } else { 0 };
+        let spr_in_flight = self.u(8) == 0;
+        let in_flight = |g: &mut Self| Instr::PlSdotsp {
+            spr: g.u(2) as u8,
+            size: SimdSize::Half,
+            rd: g.reg(),
+            rs1: PTR_LOAD,
+            rs2: g.reg(),
+        };
+        let acc = if near_miss == 1 { WP } else { ACC };
+
+        if self.u(3) == 0 {
+            // Level b: word streams through post-increment loads.
+            let (bw, bx) = (self.dot_base(2), self.dot_base(2));
+            out.push(self.addi(WP, Reg::ZERO, bw));
+            out.push(self.addi(XP, Reg::ZERO, bx));
+            // Sometimes a strided weight stream (every other word), which
+            // the translator must leave to the per-op runner.
+            let w_stride = if self.u(8) == 0 { 8 } else { 4 };
+            let mut body = vec![
+                Instr::LoadPostInc {
+                    op: LoadOp::Lw,
+                    rd: W,
+                    rs1: WP,
+                    offset: w_stride,
+                },
+                Instr::LoadPostInc {
+                    op: LoadOp::Lw,
+                    rd: X,
+                    rs1: XP,
+                    offset: 4,
+                },
+            ];
+            if swap {
+                body.reverse();
+            }
+            if near_miss == 3 {
+                body.push(Instr::LoadPostInc {
+                    op: LoadOp::Lw,
+                    rd: Reg::T4,
+                    rs1: XP,
+                    offset: 4,
+                });
+            }
+            body.push(Instr::PvDot {
+                op: DotOp::SdotSp,
+                size: SimdSize::Half,
+                rd: acc,
+                rs1: if swap { X } else { W },
+                rs2: if swap { W } else { X },
+            });
+            if spr_in_flight {
+                let i = in_flight(self);
+                out.push(i);
+            }
+            out.push(Instr::LpSetupi {
+                l: LoopIdx::L0,
+                count: trips as u32,
+                uimm: 2 + 2 * body.len() as u32,
+            });
+            out.extend(body);
+            return;
+        }
+
+        // Level a: halfword streams, advanced by `addi` or post-increment;
+        // sometimes zero-extended or byte loads, a doubled stride, or
+        // streams walking down, none of which the translator may tag.
+        let (bw, bx) = (self.dot_base(1), self.dot_base(1));
+        let form = [0, 0, 0, 1, 1, 2][self.u(6) as usize];
+        let (op, stride) = match self.u(16) {
+            0 => (LoadOp::Lhu, 2),
+            1 => (LoadOp::Lb, 2),
+            2 => (LoadOp::Lh, 4),
+            3 => (LoadOp::Lh, -2),
+            _ => (LoadOp::Lh, 2),
+        };
+        // The spill word: usually clear of both streams, sometimes inside
+        // the input stream.
+        let spill = if self.u(5) == 0 {
+            (bx + 4 * self.u(4) as i32) & !3
+        } else {
+            4 * (440 + self.u(40)) as i32
+        };
+        out.push(self.addi(WP, Reg::ZERO, bw));
+        out.push(self.addi(XP, Reg::ZERO, bx));
+        out.push(self.addi(END, XP, stride * trips));
+        out.push(self.addi(SPILL, Reg::ZERO, spill));
+        out.push(self.addi(CNT, Reg::ZERO, trips));
+        let spilled = form == 0;
+        let post_inc = self.u(3) == 0;
+        let lh = |rd: Reg, rs1: Reg| {
+            if post_inc {
+                Instr::LoadPostInc {
+                    op,
+                    rd,
+                    rs1,
+                    offset: stride,
+                }
+            } else {
+                Instr::Load {
+                    op,
+                    rd,
+                    rs1,
+                    offset: 0,
+                }
+            }
+        };
+        let mut body = vec![lh(W, WP), lh(X, XP)];
+        if swap {
+            body.reverse();
+        }
+        if near_miss == 3 {
+            body.push(Instr::Load {
+                op: LoadOp::Lh,
+                rd: Reg::T4,
+                rs1: WP,
+                offset: 2,
+            });
+        }
+        if spilled {
+            body.push(Instr::Load {
+                op: LoadOp::Lw,
+                rd: acc,
+                rs1: SPILL,
+                offset: 0,
+            });
+        }
+        if !post_inc {
+            body.push(self.addi(WP, WP, stride));
+        }
+        body.push(Instr::Mac {
+            rd: acc,
+            rs1: if swap { X } else { W },
+            rs2: if swap { W } else { X },
+        });
+        if spilled {
+            body.push(Instr::Store {
+                op: StoreOp::Sw,
+                rs2: acc,
+                rs1: SPILL,
+                offset: 0,
+            });
+        }
+        if !post_inc {
+            body.push(self.addi(XP, XP, stride));
+        }
+        let (op, rs1, rs2) = match form {
+            // The level-a close: input pointer against its end (`bne`
+            // when it does not step up by one halfword).
+            0 if stride == 2 => (BranchOp::Bltu, XP, END),
+            0 => (BranchOp::Bne, XP, END),
+            // Counter-closed.
+            1 => {
+                body.push(self.addi(CNT, CNT, -1));
+                (BranchOp::Bne, CNT, Reg::ZERO)
+            }
+            // Never exits: the streams run out of memory, or the
+            // watchdog fires first.
+            _ => (BranchOp::Bgeu, XP, Reg::ZERO),
+        };
+        let (rs1, rs2) = if near_miss == 2 {
+            (X, Reg::ZERO)
+        } else {
+            (rs1, rs2)
+        };
+        if spr_in_flight {
+            let i = in_flight(self);
+            out.push(i);
+        }
+        let head = out.len();
+        out.extend(body);
+        let offset = -4 * (out.len() - head) as i32;
+        out.push(Instr::Branch {
+            op,
+            rs1,
+            rs2,
+            offset,
+        });
+    }
+
     fn emit_chunk(&mut self, out: &mut Vec<Instr>) {
-        match self.u(13) {
+        match self.u(16) {
             0..=1 => {
                 for _ in 0..=self.u(3) {
                     let i = self.body_instr();
@@ -384,6 +607,7 @@ impl Gen {
             }
             3..=5 => self.emit_loop(out),
             9..=11 => self.emit_branch_loop(out),
+            12..=14 => self.emit_dot_loop(out),
             6 => {
                 // pl.sdotsp stream with a spacer, the paper's idiom.
                 for _ in 0..2 + self.u(3) {
@@ -711,6 +935,27 @@ fn specialized_loops_are_actually_exercised() {
     assert!(
         specialized >= 50,
         "only {specialized} specialized loop bodies across 100 seeds"
+    );
+}
+
+#[test]
+fn dot_loops_are_actually_exercised() {
+    // Same guard for the dot-loop chunk: recognized dot loops must keep
+    // installing, or the differential stops covering the native
+    // reduction and its declines.
+    let mut installed = 0usize;
+    for seed in 0..100u64 {
+        let mut g = Gen {
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let prog = g.program();
+        let mut m = Machine::new(MEM_BYTES);
+        m.load_program(&prog);
+        installed += usize::from(m.uop_program().dot_loops() > 0);
+    }
+    assert!(
+        installed >= 50,
+        "dot loops installed on only {installed} of 100 seeds"
     );
 }
 
